@@ -53,39 +53,28 @@ let read_range t f ~offset ~bytes ?(access = Sequential) k =
     let bs = Page_cache.block_bytes t.page_cache in
     let first = block_of_offset t offset in
     let last = block_of_offset t (offset + bytes - 1) in
-    let missing = ref [] in
-    let hit_blocks = ref 0 in
-    for b = first to last do
-      if Page_cache.touch t.page_cache ~file:f.fid ~block:b then
-        incr hit_blocks
-      else missing := b :: !missing
-    done;
-    let missing = List.rev !missing in
-    let hit_bytes = !hit_blocks * bs in
-    let miss_bytes = List.length missing * bs in
+    let missing =
+      Page_cache.touch_range t.page_cache ~file:f.fid ~lo:first ~hi:(last + 1)
+    in
+    let miss_blocks =
+      List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 missing
+    in
+    let hit_bytes = (last + 1 - first - miss_blocks) * bs in
+    let miss_bytes = miss_blocks * bs in
     let mem_time = float_of_int hit_bytes /. t.mem_bytes_per_s in
     let finish () =
-      List.iter (fun b -> Page_cache.insert t.page_cache ~file:f.fid ~block:b)
+      List.iter
+        (fun (lo, hi) ->
+          Page_cache.insert_range t.page_cache ~file:f.fid ~lo ~hi)
         missing;
       k ()
     in
     let after_mem () =
       if miss_bytes = 0 then finish ()
       else
-        let random = access = Random in
         (* One disk request per contiguous run of missing blocks. *)
-        let runs =
-          List.fold_left
-            (fun (runs, prev) b ->
-              match prev with
-              | Some p when b = p + 1 -> (runs, Some b)
-              | Some _ -> (runs + 1, Some b)
-              | None -> (1, Some b))
-            (0, None) missing
-          |> fst
-        in
-        Hw.Disk.read t.disk ~bytes:miss_bytes ~random ~ops:(Stdlib.max runs 1)
-          finish
+        Hw.Disk.read t.disk ~bytes:miss_bytes ~random:(access = Random)
+          ~ops:(List.length missing) finish
     in
     if mem_time > 0.0 then
       Simkit.Process.delay t.engine mem_time after_mem
@@ -102,9 +91,7 @@ let cached_fraction t f =
     /. float_of_int total
 
 let warm_file t f =
-  for b = 0 to block_count t f - 1 do
-    Page_cache.insert t.page_cache ~file:f.fid ~block:b
-  done
+  Page_cache.insert_range t.page_cache ~file:f.fid ~lo:0 ~hi:(block_count t f)
 
 let uncached_read_time t f = Hw.Disk.sequential_read_time t.disk ~bytes:f.size
 

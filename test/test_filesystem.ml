@@ -5,13 +5,13 @@ module Engine = Simkit.Engine
 
 let mib = Simkit.Units.mib
 
+let make_disk e =
+  Hw.Disk.create e ~read_mib_per_s:88.0 ~write_mib_per_s:85.0 ~seek_ms:4.0 ()
+
 let make ?(cache_mib = 256) () =
   let e = Engine.create () in
-  let disk =
-    Hw.Disk.create e ~read_mib_per_s:88.0 ~write_mib_per_s:85.0 ~seek_ms:4.0 ()
-  in
   let cache = Cache.create ~capacity_bytes:(mib cache_mib) () in
-  let fs = Fs.create e ~disk ~cache () in
+  let fs = Fs.create e ~disk:(make_disk e) ~cache () in
   (e, fs)
 
 let read_duration e fs file ?access () =
@@ -105,6 +105,67 @@ let test_invalid_create () =
     (try ignore (Fs.create_file fs ~bytes:0 ()); false
      with Invalid_argument _ -> true)
 
+let block = 4096
+
+(* Blocks 4..7 cached, 0..3 and 8..15 not: one read is two disk
+   requests (two seeks), 4 hit blocks and 12 missed ones. *)
+let test_read_range_between_cached_blocks () =
+  let e = Engine.create () in
+  let disk = make_disk e in
+  let cache = Cache.create ~capacity_bytes:(mib 1) () in
+  let fs = Fs.create e ~disk ~cache () in
+  let f = Fs.create_file fs ~bytes:(16 * block) () in
+  run_task e (fun k ->
+      Fs.read_range fs f ~offset:(4 * block) ~bytes:(4 * block) k);
+  let hits = Cache.hits cache and misses = Cache.misses cache in
+  let read0 = Hw.Disk.bytes_read disk in
+  let d = task_duration e (fun k -> Fs.read fs f k) in
+  check_int "hit blocks" 4 (Cache.hits cache - hits);
+  check_int "missed blocks" 12 (Cache.misses cache - misses);
+  check_int "disk bytes" (12 * block) (Hw.Disk.bytes_read disk - read0);
+  let mem_s = float_of_int (4 * block) /. (950.0 *. 1048576.0) in
+  let disk_s =
+    (float_of_int (12 * block) /. (88.0 *. 1048576.0)) +. (2.0 *. 0.004)
+  in
+  check_float "two disk requests" (mem_s +. disk_s) d;
+  check_float "all resident" 1.0 (Fs.cached_fraction fs f);
+  check_true "invariants" (Cache.check_invariants cache = Ok ())
+
+(* A small read of f's first blocks finishes (and g is warmed) while a
+   whole-file read of f is still on the disk. The big read then
+   re-inserts those blocks: they move ahead of g instead of being
+   stored twice, so the cache fills exactly and g's first block is the
+   next eviction. *)
+let test_concurrent_reinsert_promotes () =
+  let e = Engine.create () in
+  let f_blocks = 256 and g_blocks = 4 in
+  let cache =
+    Cache.create ~capacity_bytes:((f_blocks + g_blocks) * block) ()
+  in
+  let fs = Fs.create e ~disk:(make_disk e) ~cache () in
+  let f = Fs.create_file fs ~bytes:(f_blocks * block) () in
+  let g = Fs.create_file fs ~bytes:(g_blocks * block) () in
+  let h = Fs.create_file fs ~bytes:block () in
+  let done_ = ref 0 in
+  Fs.read fs f (fun () -> incr done_);
+  Fs.read_range fs f ~offset:0 ~bytes:(4 * block) (fun () ->
+      check_int "small read first" 4
+        (Cache.resident_blocks_of cache ~file:(Fs.file_id f));
+      Fs.warm_file fs g;
+      incr done_);
+  Engine.run e;
+  check_int "both reads done" 2 !done_;
+  check_int "cache exactly full" (f_blocks + g_blocks)
+    (Cache.resident_blocks cache);
+  check_float "f resident" 1.0 (Fs.cached_fraction fs f);
+  check_float "g resident" 1.0 (Fs.cached_fraction fs g);
+  check_true "invariants" (Cache.check_invariants cache = Ok ());
+  run_task e (fun k -> Fs.read fs h k);
+  check_false "g's first block evicted"
+    (Cache.mem cache ~file:(Fs.file_id g) ~block:0);
+  check_true "f's re-inserted block kept"
+    (Cache.mem cache ~file:(Fs.file_id f) ~block:0)
+
 let suite =
   ( "filesystem",
     [
@@ -122,4 +183,8 @@ let suite =
         test_random_access_slower_than_sequential;
       Alcotest.test_case "analytic times" `Quick test_analytic_times;
       Alcotest.test_case "invalid create" `Quick test_invalid_create;
+      Alcotest.test_case "range read between cached blocks" `Quick
+        test_read_range_between_cached_blocks;
+      Alcotest.test_case "concurrent re-insert promotes" `Quick
+        test_concurrent_reinsert_promotes;
     ] )

@@ -98,6 +98,17 @@ let test_custom_block_size () =
   check_int "capped at 4 blocks" 4 (Cache.resident_blocks c);
   check_int "used bytes" (kib 64) (Cache.used_bytes c)
 
+(* Every guest kernel makes one cache, including each host of a large
+   fleet that never reads a file: a new cache may hold no more words
+   than the 1024-bucket hash table the per-block cache started with. *)
+let test_create_is_small () =
+  let words v = Obj.reachable_words (Obj.repr v) in
+  let table = words (Hashtbl.create 1024 : (int, unit) Hashtbl.t) in
+  let cache = words (Cache.create ~capacity_bytes:(kib 64) ()) in
+  check_true
+    (Printf.sprintf "create: %d words <= %d" cache table)
+    (cache <= table)
+
 let prop_never_over_capacity =
   qtest "random workload never exceeds capacity and keeps invariants"
     QCheck.(list (pair (int_range 0 5) (int_range 0 40)))
@@ -128,6 +139,109 @@ let prop_recent_working_set_resident =
       let recent = last_distinct [] (List.rev blocks) in
       List.for_all (fun b -> Cache.mem c ~file:0 ~block:b) recent)
 
+(* --- differential law against the per-block oracle ----------------------- *)
+
+module Oracle = Page_cache_oracle
+
+type op =
+  | Touch of int * int
+  | Insert of int * int
+  | Touch_range of int * int * int
+  | Insert_range of int * int * int
+  | Invalidate of int
+  | Resize of int
+  | Clear
+
+let files = [ 0; 1; 2 ]
+let universe = List.init 20 Fun.id
+
+let op_gen =
+  QCheck.Gen.(
+    let file = int_range 0 2 and block = int_range 0 11 in
+    let range mk =
+      map3 (fun f lo len -> mk f lo (lo + len)) file block (int_range 0 8)
+    in
+    frequency
+      [
+        (3, map2 (fun f b -> Touch (f, b)) file block);
+        (3, map2 (fun f b -> Insert (f, b)) file block);
+        (4, range (fun f lo hi -> Touch_range (f, lo, hi)));
+        (4, range (fun f lo hi -> Insert_range (f, lo, hi)));
+        (1, map (fun f -> Invalidate f) file);
+        (1, map (fun c -> Resize c) (int_range 0 10));
+        (1, return Clear);
+      ])
+
+let show_op = function
+  | Touch (f, b) -> Printf.sprintf "touch %d:%d" f b
+  | Insert (f, b) -> Printf.sprintf "insert %d:%d" f b
+  | Touch_range (f, lo, hi) -> Printf.sprintf "touch %d:[%d,%d)" f lo hi
+  | Insert_range (f, lo, hi) -> Printf.sprintf "insert %d:[%d,%d)" f lo hi
+  | Invalidate f -> Printf.sprintf "invalidate %d" f
+  | Resize c -> Printf.sprintf "resize %d" c
+  | Clear -> "clear"
+
+let case_arb =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map show_op ops)))
+    QCheck.Gen.(
+      pair (oneofl [ 0; 1; 2; 3; 5; 8 ]) (list_size (int_range 1 120) op_gen))
+
+type outcome = Unit | Hit of bool | Missed of (int * int) list
+
+let apply_cache c = function
+  | Touch (file, block) -> Hit (Cache.touch c ~file ~block)
+  | Insert (file, block) -> Cache.insert c ~file ~block; Unit
+  | Touch_range (file, lo, hi) -> Missed (Cache.touch_range c ~file ~lo ~hi)
+  | Insert_range (file, lo, hi) -> Cache.insert_range c ~file ~lo ~hi; Unit
+  | Invalidate file -> Cache.invalidate_file c ~file; Unit
+  | Resize n -> Cache.resize c ~capacity_bytes:(n * 4096); Unit
+  | Clear -> Cache.clear c; Unit
+
+let apply_oracle o = function
+  | Touch (file, block) -> Hit (Oracle.touch o ~file ~block)
+  | Insert (file, block) -> Oracle.insert o ~file ~block; Unit
+  | Touch_range (file, lo, hi) -> Missed (Oracle.touch_range o ~file ~lo ~hi)
+  | Insert_range (file, lo, hi) -> Oracle.insert_range o ~file ~lo ~hi; Unit
+  | Invalidate file -> Oracle.invalidate_file o ~file; Unit
+  | Resize n -> Oracle.resize o ~capacity_blocks:n; Unit
+  | Clear -> Oracle.clear o; Unit
+
+(* Everything observable agrees after the op; [mem] over the whole
+   block universe after every op pins down the eviction order. *)
+let agree c o =
+  Cache.hits c = Oracle.hits o
+  && Cache.misses c = Oracle.misses o
+  && Cache.resident_blocks c = Oracle.resident_blocks o
+  && List.for_all
+       (fun file ->
+         Cache.resident_blocks_of c ~file = Oracle.resident_blocks_of o ~file
+         && List.for_all
+              (fun block ->
+                Cache.mem c ~file ~block = Oracle.mem o ~file ~block)
+              universe)
+       files
+
+let prop_matches_per_block_lru =
+  qtest ~count:500 "extent cache = per-block LRU on random op sequences"
+    case_arb (fun (cap, ops) ->
+      let c = Cache.create ~capacity_bytes:(cap * 4096) () in
+      let o = Oracle.create ~capacity_blocks:cap in
+      List.iteri
+        (fun i op ->
+          let fail what =
+            QCheck.Test.fail_reportf "op %d (%s): %s" i (show_op op) what
+          in
+          if apply_cache c op <> apply_oracle o op then fail "results differ";
+          if not (agree c o) then fail "state differs";
+          match Cache.check_invariants c with
+          | Ok () -> ()
+          | Error e -> fail ("invariant: " ^ e))
+        ops;
+      true)
+
 let suite =
   ( "page_cache",
     [
@@ -143,6 +257,8 @@ let suite =
       Alcotest.test_case "clear resets" `Quick test_clear_resets_counters;
       Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
       Alcotest.test_case "custom block size" `Quick test_custom_block_size;
+      Alcotest.test_case "create is small" `Quick test_create_is_small;
       prop_never_over_capacity;
       prop_recent_working_set_resident;
+      prop_matches_per_block_lru;
     ] )
