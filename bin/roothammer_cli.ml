@@ -338,10 +338,9 @@ let run_cmd =
              (warm x xend.resume) and fleet_rolling a single small warm \
              cell instead of the full grid")
   in
-  let run verbose id smoke partitions queue strategy workload memdyn traffic
-      clients csv json metrics =
+  let run verbose id smoke partitions strategy workload memdyn traffic clients
+      csv json metrics =
     setup_logs verbose;
-    Option.iter Simkit.Engine.set_default_queue queue;
     (* Fresh ambient registry so --metrics reports this run only. *)
     let registry = Obs.reset_ambient () in
     let params =
@@ -364,7 +363,7 @@ let run_cmd =
   cmd "run" ~doc:"Run any registered experiment by id"
     Term.(
       const run $ verbose_arg $ id_arg $ smoke_arg $ Cli_args.partitions_arg
-      $ Cli_args.queue_arg $ Cli_args.strategy_arg $ Cli_args.workload_arg
+      $ Cli_args.strategy_arg $ Cli_args.workload_arg
       $ Cli_args.memdyn_arg $ Cli_args.traffic_arg $ Cli_args.clients_arg
       $ Cli_args.csv_arg $ Cli_args.json_arg $ Cli_args.metrics_arg)
 

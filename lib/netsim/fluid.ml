@@ -59,7 +59,7 @@ let config_label cfg =
    uniformly over one backoff window, giving the linear ramp the
    per-request model shows. Everything here is pure float arithmetic in
    a fixed order: no RNG, so seeded runs are byte-identical across
-   queue backends and fleet partitions. *)
+   fleet partitions. *)
 type core = {
   c_engine : Simkit.Engine.t;
   c_cfg : config;

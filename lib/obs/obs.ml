@@ -62,21 +62,14 @@ let instrument_engine ?(prefix = "sim.engine") registry engine =
       float_of_int (Simkit.Engine.pending engine));
   Registry.gauge registry (prefix ^ ".now_s") (fun () ->
       Simkit.Engine.now engine);
-  (* Event-queue internals: tombstone pressure, compaction passes, and
-     the calendar backend's bucket structure (zeros on the heap). *)
+  (* Event-queue internals: tombstone pressure and compaction passes. *)
   let stat read =
     fun () -> read (Simkit.Engine.queue_stats engine)
   in
   Registry.gauge registry (prefix ^ ".queue.tombstones")
     (stat (fun s -> float_of_int s.Simkit.Engine.qs_tombstones));
   Registry.gauge registry (prefix ^ ".queue.compactions")
-    (stat (fun s -> float_of_int s.Simkit.Engine.qs_compactions));
-  Registry.gauge registry (prefix ^ ".queue.buckets")
-    (stat (fun s -> float_of_int s.Simkit.Engine.qs_buckets));
-  Registry.gauge registry (prefix ^ ".queue.bucket_width_s")
-    (stat (fun s -> s.Simkit.Engine.qs_bucket_width));
-  Registry.gauge registry (prefix ^ ".queue.resizes")
-    (stat (fun s -> float_of_int s.Simkit.Engine.qs_resizes))
+    (stat (fun s -> float_of_int s.Simkit.Engine.qs_compactions))
 
 let instrument_par_engine ?(prefix = "par") registry par =
   (* Protocol health of a partitioned run: how far shard clocks spread

@@ -54,11 +54,9 @@ val with_span : Simkit.Trace.t -> string -> (unit -> 'a) -> 'a
 
 val instrument_engine : ?prefix:string -> Registry.t -> Simkit.Engine.t -> unit
 (** Register pull gauges over the engine's own counters and event-queue
-    internals — [queue.tombstones], [queue.compactions], and the
-    calendar backend's [queue.buckets] / [queue.bucket_width_s] /
-    [queue.resizes] — as well as the long-standing counters (events
-    processed / scheduled, queue depth, clock) under [prefix] (default
-    ["sim.engine"]). *)
+    internals — [queue.tombstones] and [queue.compactions] — as well as
+    the long-standing counters (events processed / scheduled, queue
+    depth, clock) under [prefix] (default ["sim.engine"]). *)
 
 val instrument_par_engine :
   ?prefix:string -> Registry.t -> Simkit.Par_engine.t -> unit

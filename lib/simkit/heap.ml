@@ -85,12 +85,6 @@ let clear t =
   t.size <- 0;
   t.data <- [||]
 
-let drain t =
-  let rec go acc =
-    match pop t with Some kv -> go (kv :: acc) | None -> List.rev acc
-  in
-  go []
-
 let filter_inplace t ~keep =
   let n = t.size in
   let kept = ref 0 in

@@ -26,10 +26,6 @@ val pop : 'a t -> (float * 'a) option
 val clear : 'a t -> unit
 (** Remove every entry. *)
 
-val drain : 'a t -> (float * 'a) list
-(** Pop everything: the heap's remaining entries in (key, FIFO) order,
-    leaving it empty. O(n log n). *)
-
 val filter_inplace : 'a t -> keep:('a -> bool) -> int
 (** [filter_inplace t ~keep] drops every entry whose value fails [keep]
     and returns how many were dropped. O(n). Surviving entries keep

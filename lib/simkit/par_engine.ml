@@ -70,14 +70,14 @@ type t = {
   mutable max_skew : float;
 }
 
-let create ?(seed = 42) ?queue ?compaction ?quantum ~shards () =
+let create ?(seed = 42) ?compaction ?quantum ~shards () =
   if shards < 1 then invalid_arg "Par_engine.create: shards < 1";
   (match quantum with
   | Some q when q <= 0.0 -> invalid_arg "Par_engine.create: quantum <= 0"
   | _ -> ());
   {
     shards =
-      Array.init shards (fun _ -> Engine.create ~seed ?queue ?compaction ());
+      Array.init shards (fun _ -> Engine.create ~seed ?compaction ());
     chans = Array.make_matrix shards shards None;
     quantum;
     lock = Mutex.create ();

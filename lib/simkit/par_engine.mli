@@ -38,7 +38,6 @@ type t
 
 val create :
   ?seed:int ->
-  ?queue:Eventq.backend ->
   ?compaction:Engine.compaction ->
   ?quantum:float ->
   shards:int ->

@@ -117,6 +117,40 @@ let test_negative_delay_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A NaN key compares false against everything and would silently break
+   the queue's ordering, so non-finite times are rejected up front and
+   leave the queue untouched. *)
+let test_non_finite_time_rejected () =
+  let e = Engine.create () in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun time ->
+      check_true
+        (Printf.sprintf "schedule_at %g raises" time)
+        (raises (fun () -> Engine.schedule_at e ~time (fun () -> ()))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun delay ->
+      check_true
+        (Printf.sprintf "schedule ~delay:%g raises" delay)
+        (raises (fun () -> Engine.schedule e ~delay (fun () -> ()))))
+    [ Float.nan; Float.infinity ];
+  check_int "nothing queued" 0 (Engine.pending e);
+  check_int "nothing scheduled" 0 (Engine.events_scheduled e);
+  let log = ref [] in
+  List.iter
+    (fun t ->
+      ignore (Engine.schedule_at e ~time:t (fun () -> log := t :: !log)))
+    [ 3.0; 1.0; 2.0 ];
+  Engine.run e;
+  Alcotest.(check (list (float 0.0))) "queue still ordered" [ 1.0; 2.0; 3.0 ]
+    (List.rev !log)
+
 let test_events_processed () =
   let e = Engine.create () in
   for i = 1 to 7 do
@@ -176,6 +210,8 @@ let suite =
         test_schedule_in_past_rejected;
       Alcotest.test_case "negative delay rejected" `Quick
         test_negative_delay_rejected;
+      Alcotest.test_case "non-finite time rejected" `Quick
+        test_non_finite_time_rejected;
       Alcotest.test_case "events processed" `Quick test_events_processed;
       Alcotest.test_case "step" `Quick test_step;
       prop_monotonic_clock;

@@ -304,9 +304,9 @@ let qcheck_stream_equals_stop_and_copy =
          < 1e-6)
 
 (* Golden: a seeded fleet cell with memdyn off is byte-identical across
-   partition counts and both event-queue backends — the ISSUE's
-   off-mode inertness gate at fleet scale. Passing [Memdyn.off]
-   explicitly must also equal not passing memdyn at all. *)
+   partition counts — the off-mode inertness gate at fleet scale.
+   Passing [Memdyn.off] explicitly must also equal not passing memdyn
+   at all. *)
 let test_fleet_off_mode_golden () =
   let cell ?memdyn ~partitions () =
     Experiment.Result.to_json
@@ -318,22 +318,13 @@ let test_fleet_off_mode_golden () =
              ();
          ])
   in
-  List.iter
-    (fun backend ->
-      let name = Simkit.Eventq.backend_name backend in
-      Simkit.Engine.with_default_queue backend (fun () ->
-          let one = cell ~memdyn:Memdyn.off ~partitions:1 () in
-          check_true (name ^ ": non-trivial payload") (String.length one > 100);
-          Alcotest.(check string)
-            (name ^ ": explicit off = absent") one
-            (cell ~partitions:1 ());
-          Alcotest.(check string)
-            (name ^ ": partitions 1 = 2") one
-            (cell ~memdyn:Memdyn.off ~partitions:2 ());
-          Alcotest.(check string)
-            (name ^ ": partitions 1 = 4") one
-            (cell ~memdyn:Memdyn.off ~partitions:4 ())))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+  let one = cell ~memdyn:Memdyn.off ~partitions:1 () in
+  check_true "non-trivial payload" (String.length one > 100);
+  Alcotest.(check string) "explicit off = absent" one (cell ~partitions:1 ());
+  Alcotest.(check string) "partitions 1 = 2" one
+    (cell ~memdyn:Memdyn.off ~partitions:2 ());
+  Alcotest.(check string) "partitions 1 = 4" one
+    (cell ~memdyn:Memdyn.off ~partitions:4 ())
 
 let suite =
   ( "mem",
@@ -356,6 +347,6 @@ let suite =
       Alcotest.test_case "stream cuts saved-reboot downtime" `Slow
         test_stream_cuts_downtime;
       qcheck_stream_equals_stop_and_copy;
-      Alcotest.test_case "fleet off-mode golden across backends" `Slow
+      Alcotest.test_case "fleet off-mode golden across partitions" `Slow
         test_fleet_off_mode_golden;
     ] )

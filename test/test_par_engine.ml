@@ -1,7 +1,6 @@
 (* The conservative coordinator: lookahead/barrier protocol unit
    tests, partition-count invariance as a QCheck law, and the golden
-   byte-identity of the fleet_rolling grid across partition counts and
-   both Eventq backends. *)
+   byte-identity of the fleet_rolling grid across partition counts. *)
 open Helpers
 module Par = Simkit.Par_engine
 module Engine = Simkit.Engine
@@ -181,11 +180,11 @@ let qcheck_partition_invariance =
       String.length one > 100 && one = run 2 && one = run 4)
 
 (* Golden: the fleet_rolling smoke cell, via the registry exactly as
-   the sweep runner drives it, is byte-identical for partitions 1/2/4
-   under both event-queue backends. This is the identity the sweep
-   cache relies on when it serves a cell computed at a different
-   partitioning (partitions is deliberately absent from params_key). *)
-let test_fleet_rolling_golden_across_backends () =
+   the sweep runner drives it, is byte-identical for partitions 1/2/4.
+   This is the identity the sweep cache relies on when it serves a cell
+   computed at a different partitioning (partitions is deliberately
+   absent from params_key). *)
+let test_fleet_rolling_golden_across_partitions () =
   let module E = Rejuv.Experiment in
   let spec = E.Spec.find_exn "fleet_rolling" in
   let rolling ~partitions =
@@ -195,17 +194,10 @@ let test_fleet_rolling_golden_across_backends () =
     E.Result.to_json
       (E.Result.merge (List.map (fun (_, p) -> spec.E.Spec.run p) shards))
   in
-  List.iter
-    (fun backend ->
-      let name = Simkit.Eventq.backend_name backend in
-      Engine.with_default_queue backend (fun () ->
-          let one = rolling ~partitions:1 in
-          check_true (name ^ ": non-trivial payload") (String.length one > 100);
-          Alcotest.(check string) (name ^ ": partitions 1 = 2") one
-            (rolling ~partitions:2);
-          Alcotest.(check string) (name ^ ": partitions 1 = 4") one
-            (rolling ~partitions:4)))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+  let one = rolling ~partitions:1 in
+  check_true "non-trivial payload" (String.length one > 100);
+  Alcotest.(check string) "partitions 1 = 2" one (rolling ~partitions:2);
+  Alcotest.(check string) "partitions 1 = 4" one (rolling ~partitions:4)
 
 let suite =
   ( "par_engine",
@@ -225,6 +217,6 @@ let suite =
       Alcotest.test_case "cross-partition link" `Quick
         test_cross_link_delivers_and_rejects_round_trips;
       qcheck_partition_invariance;
-      Alcotest.test_case "fleet_rolling golden across backends" `Slow
-        test_fleet_rolling_golden_across_backends;
+      Alcotest.test_case "fleet_rolling golden across partitions" `Slow
+        test_fleet_rolling_golden_across_partitions;
     ] )

@@ -1,8 +1,8 @@
 (* The hybrid fluid-flow traffic model (Netsim.Fluid): closed-form
    steady state, outage/ramp dynamics, capacity sharing between the
    tracer cohort and the fluid bulk, the Hybrid = Per_request
-   equivalence law, byte-identical experiment JSON across event-queue
-   backends and fleet partitions, and the O(log n) httperf window
+   equivalence law, pinned experiment JSON per mode and byte-identical
+   fleet JSON across partitions, and the O(log n) httperf window
    queries it leans on. *)
 open Helpers
 module Engine = Simkit.Engine
@@ -341,29 +341,33 @@ let test_traffic_gauges () =
 
 (* --- golden experiment JSON ----------------------------------------------- *)
 
-(* Every traffic mode must produce byte-identical elastic_traffic JSON
-   on both event-queue backends for the same seed. *)
-let test_traffic_cell_golden_backends () =
+(* Every traffic mode's elastic_traffic cell reproduces its pinned
+   Result JSON byte for byte, so a change of behaviour in any layer the
+   cell runs through — engine, fluid model, httperf — shows up here. *)
+let test_traffic_cell_golden_modes () =
   List.iter
-    (fun mode ->
-      let cell () =
-        Experiment.Result.to_json
-          (Experiment.Result.Traffic
-             [ Experiment.run_traffic_cell ~seed:7 (mode, 200, Strategy.Warm) ])
-      in
-      let heap = Simkit.Engine.with_default_queue Simkit.Eventq.Heap cell in
-      let cal = Simkit.Engine.with_default_queue Simkit.Eventq.Calendar cell in
-      check_true
-        (Fluid.mode_name mode ^ ": non-trivial payload")
-        (String.length heap > 100);
+    (fun (mode, golden) ->
       Alcotest.(check string)
-        (Fluid.mode_name mode ^ ": heap = calendar")
-        heap cal)
-    [ Fluid.Per_request; Fluid.Fluid; Fluid.Hybrid ]
+        (Fluid.mode_name mode ^ ": pinned bytes")
+        golden
+        (Experiment.Result.to_json
+           (Experiment.Result.Traffic
+              [ Experiment.run_traffic_cell ~seed:7 (mode, 200, Strategy.Warm) ])))
+    [
+      ( Fluid.Per_request,
+        {|{"kind":"traffic","data":[{"traffic":"per-request","clients":200,"strategy":"warm","steady_rps":240,"outage_s":45.8623206034,"completed":17600,"failed":17000,"tracer_requests":34600}]}|}
+      );
+      ( Fluid.Fluid,
+        {|{"kind":"traffic","data":[{"traffic":"fluid","clients":200,"strategy":"warm","steady_rps":238.418579102,"outage_s":42.7,"completed":17488,"failed":17080,"tracer_requests":0}]}|}
+      );
+      ( Fluid.Hybrid,
+        {|{"kind":"traffic","data":[{"traffic":"hybrid","clients":200,"strategy":"warm","steady_rps":239.399060059,"outage_s":42.7,"completed":17681,"failed":17082,"tracer_requests":16808}]}|}
+      );
+    ]
 
 (* A fleet cell carrying fluid/hybrid host traffic stays byte-identical
-   across partition counts and both backends — the partitioned-time
-   invariant extends to the new flow streams (which draw no RNG). *)
+   across partition counts — the partitioned-time invariant extends to
+   the new flow streams (which draw no RNG). *)
 let test_fleet_traffic_golden_partitions () =
   let cell ~mode ~partitions () =
     Experiment.Result.to_json
@@ -378,25 +382,19 @@ let test_fleet_traffic_golden_partitions () =
          ])
   in
   List.iter
-    (fun backend ->
-      let bname = Simkit.Eventq.backend_name backend in
-      Simkit.Engine.with_default_queue backend (fun () ->
-          List.iter
-            (fun mode ->
-              let tag = bname ^ "/" ^ Fluid.mode_name mode in
-              let one = cell ~mode ~partitions:1 () in
-              check_true (tag ^ ": non-trivial payload")
-                (String.length one > 100);
-              Alcotest.(check string)
-                (tag ^ ": partitions 1 = 2")
-                one
-                (cell ~mode ~partitions:2 ());
-              Alcotest.(check string)
-                (tag ^ ": partitions 1 = 4")
-                one
-                (cell ~mode ~partitions:4 ()))
-            [ Fluid.Fluid; Fluid.Hybrid ]))
-    [ Simkit.Eventq.Heap; Simkit.Eventq.Calendar ]
+    (fun mode ->
+      let tag = Fluid.mode_name mode in
+      let one = cell ~mode ~partitions:1 () in
+      check_true (tag ^ ": non-trivial payload") (String.length one > 100);
+      Alcotest.(check string)
+        (tag ^ ": partitions 1 = 2")
+        one
+        (cell ~mode ~partitions:2 ());
+      Alcotest.(check string)
+        (tag ^ ": partitions 1 = 4")
+        one
+        (cell ~mode ~partitions:4 ()))
+    [ Fluid.Fluid; Fluid.Hybrid ]
 
 let suite =
   ( "traffic",
@@ -422,8 +420,8 @@ let suite =
       Alcotest.test_case "create validation" `Quick test_create_validation;
       Alcotest.test_case "traffic gauges registered" `Quick
         test_traffic_gauges;
-      Alcotest.test_case "elastic_traffic golden across backends" `Slow
-        test_traffic_cell_golden_backends;
+      Alcotest.test_case "elastic_traffic golden across modes" `Slow
+        test_traffic_cell_golden_modes;
       Alcotest.test_case "fleet traffic golden across partitions" `Slow
         test_fleet_traffic_golden_partitions;
     ] )
