@@ -576,39 +576,6 @@ let blind_dispatch_arg =
           "Round-robin requests ignoring host health (the paper's \
            lost-request model) instead of skipping unhealthy hosts")
 
-let cluster_cmd =
-  let hosts_arg =
-    Arg.(value & opt int 4 & info [ "hosts" ] ~doc:"Cluster size")
-  in
-  let run verbose hosts strategy blind_dispatch =
-    setup_logs verbose;
-    let c =
-      Rejuv.Cluster_sim.create
-        {
-          Rejuv.Cluster_sim.Config.hosts;
-          host = Rejuv.Scenario.Config.(default |> with_vms 3);
-          blind_dispatch;
-        }
-    in
-    Rejuv.Cluster_sim.start c;
-    pf "%d hosts up; rolling %s under 100 req/s...@." hosts
-      (Rejuv.Strategy.name strategy);
-    let r = Rejuv.Cluster_sim.rolling_rejuvenation c ~strategy () in
-    pf "rolling cycle: %.1f s; per-host %s@."
-      r.Rejuv.Cluster_sim.total_elapsed_s
-      (String.concat " "
-         (List.map
-            (fun o -> Printf.sprintf "%.0fs" o)
-            r.Rejuv.Cluster_sim.per_host_outage_s));
-    pf "requests lost: %d of %d (%.1f %%)@." r.Rejuv.Cluster_sim.lost
-      r.Rejuv.Cluster_sim.offered
-      (100.0 *. r.Rejuv.Cluster_sim.loss_ratio)
-  in
-  cmd "cluster" ~doc:"Rolling rejuvenation across a simulated cluster"
-    Term.(
-      const run $ verbose_arg $ hosts_arg $ Cli_args.strategy_arg
-      $ blind_dispatch_arg)
-
 let fleet_cmd =
   let hosts_arg =
     Arg.(value & opt int 16 & info [ "hosts" ] ~doc:"Fleet size")
@@ -649,37 +616,49 @@ let fleet_cmd =
       | None -> Netsim.Fluid.default_config
       | Some mode -> { Netsim.Fluid.default_config with Netsim.Fluid.mode }
     in
-    let fleet =
-      Rejuv.Fleet.create
-        {
-          Rejuv.Fleet.Config.default with
-          hosts;
-          wave_width = width;
-          slo;
-          load_rate_per_s = load;
-          blind_dispatch;
-          partitions;
-          host =
-            {
-              Rejuv.Fleet.Config.default.Rejuv.Fleet.Config.host with
-              Rejuv.Scenario.Config.memdyn = Mem.Memdyn.default memdyn;
-              traffic = traffic_cfg;
-            };
-        }
+    (* A bad plan or size is the user's input, not a crash: report it
+       on stderr and exit non-zero, without a backtrace. *)
+    let fail msg =
+      Format.eprintf "roothammer fleet: %s@." msg;
+      exit 1
     in
-    Rejuv.Fleet.start fleet;
-    let strategy =
-      Option.value wave_strategy ~default:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
-    in
-    pf "%d hosts up (%d shard(s)); rolling %s waves of <= %d under %.0f \
-        req/s...@."
-      hosts
-      (Simkit.Par_engine.shards (Rejuv.Fleet.par fleet))
-      (Rejuv.Wave.strategy_id strategy)
-      width load;
-    let r = Rejuv.Fleet.run fleet ~strategy in
-    print_fleet [ r ];
-    Cli_args.print_metrics ~registry metrics
+    match
+      let fleet =
+        Rejuv.Fleet.create
+          {
+            Rejuv.Fleet.Config.default with
+            hosts;
+            wave_width = width;
+            slo;
+            load_rate_per_s = load;
+            blind_dispatch;
+            partitions;
+            host =
+              {
+                Rejuv.Fleet.Config.default.Rejuv.Fleet.Config.host with
+                Rejuv.Scenario.Config.memdyn = Mem.Memdyn.default memdyn;
+                traffic = traffic_cfg;
+              };
+          }
+      in
+      Rejuv.Fleet.start fleet;
+      let strategy =
+        Option.value wave_strategy
+          ~default:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
+      in
+      pf "%d hosts up (%d shard(s)); rolling %s waves of <= %d under %.0f \
+          req/s...@."
+        hosts
+        (Simkit.Par_engine.shards (Rejuv.Fleet.par fleet))
+        (Rejuv.Wave.strategy_id strategy)
+        width load;
+      Rejuv.Fleet.run fleet ~strategy
+    with
+    | r ->
+      print_fleet [ r ];
+      Cli_args.print_metrics ~registry metrics
+    | exception Simkit.Fault.Error f -> fail (Simkit.Fault.to_string f)
+    | exception Invalid_argument m -> fail m
   in
   cmd "fleet"
     ~doc:
@@ -717,5 +696,5 @@ let () =
           [
             fig4_cmd; fig5_cmd; reload_cmd; fig6_cmd; fig7_cmd; fig8_cmd;
             fits_cmd; avail_cmd; fig9_cmd; run_cmd; sweep_cmd; list_cmd;
-            migrate_cmd; schedule_cmd; cluster_cmd; fleet_cmd; report_cmd;
+            migrate_cmd; schedule_cmd; fleet_cmd; report_cmd;
           ]))

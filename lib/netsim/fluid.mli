@@ -177,7 +177,7 @@ val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
 
 (** Open-loop fluid arrival stream for dispatchers: a constant offered
     rate split across servers by a served-fraction closure, integrated
-    at epochs. {!Cluster_sim} and [Rejuv.Fleet] use this in place of
+    at epochs. [Rejuv.Fleet] uses this in place of
     per-request Poisson routing when traffic mode is not
     {!Per_request} — no RNG, so partition-invariant by
     construction. *)

@@ -51,6 +51,7 @@ type cell = {
 
 type t = {
   cfg : Config.t;
+  plan : Wave.plan;
   par : Simkit.Par_engine.t;
   members : cell array;
   fleet_spare : Scenario.t;
@@ -74,6 +75,16 @@ let create (cfg : Config.t) =
     invalid_arg "Fleet.create: partitions <= 0";
   if cfg.Config.sync_quantum_s <= 0.0 then
     invalid_arg "Fleet.create: sync_quantum_s <= 0";
+  (* Plan before building anything: an impossible plan must not cost a
+     fleet boot before it is reported. *)
+  let plan =
+    match
+      Wave.plan ~hosts:cfg.Config.hosts ~width:cfg.Config.wave_width
+        ~slo:cfg.Config.slo
+    with
+    | Ok p -> p
+    | Error (`Msg m) -> Simkit.Fault.fail (Simkit.Fault.Invariant m)
+  in
   let shards = min cfg.Config.partitions cfg.Config.hosts in
   (* Hosts share no mutable simulation state, so any cross-host event
      coupling flows through the coordinator at barrier times — that,
@@ -120,7 +131,7 @@ let create (cfg : Config.t) =
         name_prefix = "spare-";
       }
   in
-  let t = { cfg; par; members; fleet_spare; spare_up = false } in
+  let t = { cfg; plan; par; members; fleet_spare; spare_up = false } in
   Obs.gauge "fleet.healthy_hosts" (fun () -> float_of_int (healthy_hosts t));
   Obs.gauge "fleet.capacity_fraction" (fun () ->
       float_of_int (healthy_hosts t) /. float_of_int cfg.Config.hosts);
@@ -270,14 +281,7 @@ let run t ~strategy =
       (Simkit.Fault.Invariant
          "Fleet.run: migrate waves share the spare host and its \
           migration link; partitions must be 1");
-  let plan =
-    match
-      Wave.plan ~hosts:cfg.Config.hosts ~width:cfg.Config.wave_width
-        ~slo:cfg.Config.slo
-    with
-    | Ok p -> p
-    | Error (`Msg m) -> Simkit.Fault.fail (Simkit.Fault.Invariant m)
-  in
+  let plan = t.plan in
   (* Open-loop load, one generator per host so every arrival is shard-
      local. Streams are seeded from (fleet seed, host index): stable
      across partition counts, unlike anything split from a shard

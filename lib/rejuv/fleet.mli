@@ -1,7 +1,8 @@
 (** Fleet-scale rolling rejuvenation control plane.
 
-    Scales the {!Cluster_sim} pair-of-hosts picture up to a consolidated
-    {e fleet}: hundreds of hosts — each a full {!Scenario} stack — in
+    Scales the paper's single-host picture up to a consolidated
+    {e fleet}: from the 4-host cluster of the measured Figure 9 to
+    hundreds of hosts — each a full {!Scenario} stack — in
     one simulation, plus one spare host kept empty as a migration
     target. A {!Wave.plan} partitions the fleet into rolling waves; the
     control plane walks the waves, rejuvenating each wave's hosts
@@ -38,7 +39,8 @@ module Config : sig
   type t = {
     hosts : int;  (** fleet size; default 16 *)
     host : Scenario.Config.t;
-        (** per-host template, as in {!Cluster_sim.Config} *)
+        (** per-host template; [name_prefix] is extended per host and
+            [engine] overwritten with the host's shard engine *)
     wave_width : int;
         (** requested hosts per wave — clamped to the SLO slack by
             {!Wave.plan}; default 4 *)
@@ -59,7 +61,10 @@ module Config : sig
             per-request, seeded exactly like the per-request
             streams. *)
     blind_dispatch : bool;
-        (** health-oblivious dispatch (see {!Cluster_sim.Config}) *)
+        (** round-robin requests onto a host whatever its health —
+            the paper's lost-request model (Figure 9). By default a
+            request aimed at an unhealthy host is redirected when some
+            other host was healthy at the last barrier. *)
     sample_interval_s : float;  (** capacity sampling period; default 5 s *)
     partitions : int;
         (** shards the host stacks are spread over (clamped to the
@@ -76,10 +81,12 @@ end
 type t
 
 val create : Config.t -> t
-(** Build the fleet (and its spare host) on a partitioned engine seeded
-    from [host.seed], and register the fleet and [par.*] shard gauges
-    into the ambient [Obs] registry. Raises [Invalid_argument] on a
-    non-positive fleet size, partition count or quantum. *)
+(** Plan the waves, then build the fleet (and its spare host) on a
+    partitioned engine seeded from [host.seed], and register the fleet
+    and [par.*] shard gauges into the ambient [Obs] registry. Raises
+    [Invalid_argument] on a non-positive fleet size, partition count or
+    quantum, and [Fault.Error (Invariant _)] when {!Wave.plan} rejects
+    the (hosts, width, slo) cell — both before any host is built. *)
 
 val config : t -> Config.t
 
@@ -121,8 +128,8 @@ type report = {
 }
 
 val run : t -> strategy:Wave.strategy -> report
-(** Execute one full rolling pass over a started fleet: plan the waves,
-    start the per-host load streams, walk the waves one quantum barrier
+(** Execute one full rolling pass over a started fleet: start the
+    per-host load streams, walk the waves one quantum barrier
     at a time (admission, launches and sampling all happen at barriers,
     on the coordinator, with every shard parked), settle, stop the
     load, and report. [Reboot] waves rejuvenate their hosts

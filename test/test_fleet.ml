@@ -1,6 +1,7 @@
 (* The fleet control plane: wave planning, the SLO admission guard
-   (as a QCheck law), migrate-then-reboot waves, and determinism of
-   the fleet_rolling experiment output. *)
+   (as a QCheck law), migrate-then-reboot waves, determinism of the
+   fleet_rolling experiment output, and the measured Figure 9 cluster
+   run as a width-1 fleet. *)
 open Helpers
 module Fleet = Rejuv.Fleet
 module Wave = Rejuv.Wave
@@ -39,6 +40,15 @@ let test_plan_rejects_impossible_inputs () =
   check_true "no slack: every host needed" (err ~hosts:8 ~width:2 ~slo:1.0)
 
 (* --- the control plane --------------------------------------------------- *)
+
+let test_create_rejects_impossible_plan () =
+  (* 0.7 of 3 hosts needs all 3 healthy: no slack for any wave. The
+     plan is checked before a single host is built or booted. *)
+  let before = Simkit.Engine.domain_events_processed () in
+  (match Fleet.create { Fleet.Config.default with hosts = 3; slo = 0.7 } with
+  | _ -> Alcotest.fail "created a fleet with no SLO slack"
+  | exception Simkit.Fault.Error (Simkit.Fault.Invariant _) -> ());
+  check_int "no event ran" before (Simkit.Engine.domain_events_processed ())
 
 let small_fleet ?(hosts = 6) ?(wave_width = 2) ?(slo = 0.5) ?(seed = 42) () =
   let f =
@@ -105,6 +115,105 @@ let test_same_seed_same_json () =
   Alcotest.(check string) "byte-identical reports" a b;
   check_true "non-trivial payload" (String.length a > 100)
 
+(* --- the measured Figure 9 cluster -------------------------------------- *)
+
+(* 4 hosts x 3 VMs under 100 req/s, rolled one host at a time (a 0.75
+   SLO leaves a slack of one) with 20 s between hosts. Each pass runs
+   once and is shared by the cases that read it. *)
+let cluster_hosts = 4
+
+let cluster_fleet ~blind_dispatch =
+  Fleet.create
+    {
+      Fleet.Config.default with
+      hosts = cluster_hosts;
+      host = Rejuv.Scenario.Config.(default |> with_vms 3);
+      wave_width = 1;
+      slo = 0.75;
+      gap_s = 20.0;
+      load_rate_per_s = 100.0;
+      blind_dispatch;
+    }
+
+let cluster_pass ~blind_dispatch strategy =
+  lazy
+    (let f = cluster_fleet ~blind_dispatch in
+     Fleet.start f;
+     let r = Fleet.run f ~strategy:(Wave.Reboot strategy) in
+     (r, Fleet.healthy_hosts f))
+
+let blind_warm = cluster_pass ~blind_dispatch:true Strategy.Warm
+let blind_cold = cluster_pass ~blind_dispatch:true Strategy.Cold
+let aware_warm = cluster_pass ~blind_dispatch:false Strategy.Warm
+let aware_cold = cluster_pass ~blind_dispatch:false Strategy.Cold
+
+let test_cluster_start () =
+  let f = cluster_fleet ~blind_dispatch:true in
+  Fleet.start f;
+  check_int "all healthy" cluster_hosts (Fleet.healthy_hosts f)
+
+let test_cluster_aware_serves_everything () =
+  (* Health-aware dispatch redirects a rebooting host's requests to the
+     three healthy ones, even through long cold outages. *)
+  let r, _ = Lazy.force aware_cold in
+  check_true "requests flowed" (r.Fleet.offered > 2000);
+  check_int "no losses" 0 r.Fleet.lost
+
+let test_cluster_blind_warm () =
+  let r, healthy_after = Lazy.force blind_warm in
+  check_int "one wave per host" cluster_hosts (List.length r.Fleet.waves);
+  List.iter
+    (fun w -> check_in_band "per-host procedure" ~lo:40.0 ~hi:75.0
+        w.Fleet.wave_makespan_s)
+    r.Fleet.waves;
+  (* Round-robin: 1/4 of requests hit the down host during its ~57 s
+     outage. Over the whole pass the loss ratio stays small. *)
+  check_in_band "loss ratio" ~lo:0.05 ~hi:0.35 r.Fleet.loss_ratio;
+  check_int "cluster healthy after" cluster_hosts healthy_after
+
+let test_cluster_warm_loses_less_than_cold () =
+  let warm, _ = Lazy.force blind_warm in
+  let cold, _ = Lazy.force blind_cold in
+  check_true "warm loses far fewer requests"
+    (float_of_int cold.Fleet.lost > 2.0 *. float_of_int warm.Fleet.lost)
+
+let test_cluster_dips_one_host_at_a_time () =
+  let r, healthy_after = Lazy.force blind_warm in
+  check_int "dips to m-1, never below" (cluster_hosts - 1) r.Fleet.min_healthy;
+  check_int "recovered" cluster_hosts healthy_after
+
+let test_cluster_never_fully_dark () =
+  (* Even a rolling cold reboot keeps the cluster serving. *)
+  let r, _ = Lazy.force blind_cold in
+  check_true "always at least m-1 hosts"
+    (r.Fleet.min_healthy >= cluster_hosts - 1)
+
+let test_cluster_aware_beats_blind () =
+  let aware, _ = Lazy.force aware_warm in
+  let blind, _ = Lazy.force blind_warm in
+  check_true "served nearly everything" (aware.Fleet.loss_ratio < 0.01);
+  check_true "blind dispatch loses more"
+    (float_of_int blind.Fleet.lost
+    > 10.0 *. float_of_int (max aware.Fleet.lost 1))
+
+(* The cluster cases keep the suite name and test ids they had when a
+   separate cluster simulator ran them. *)
+let cluster_suite =
+  ( "cluster_sim",
+    [
+      Alcotest.test_case "start brings hosts up" `Quick test_cluster_start;
+      Alcotest.test_case "load served when healthy" `Slow
+        test_cluster_aware_serves_everything;
+      Alcotest.test_case "rolling warm" `Slow test_cluster_blind_warm;
+      Alcotest.test_case "warm loses less than cold" `Slow
+        test_cluster_warm_loses_less_than_cold;
+      Alcotest.test_case "capacity timeline" `Slow
+        test_cluster_dips_one_host_at_a_time;
+      Alcotest.test_case "never fully dark" `Slow test_cluster_never_fully_dark;
+      Alcotest.test_case "healthy dispatch avoids down hosts" `Slow
+        test_cluster_aware_beats_blind;
+    ] )
+
 let suite =
   ( "fleet",
     [
@@ -114,6 +223,8 @@ let suite =
         test_plan_clamps_width_to_slack;
       Alcotest.test_case "plan rejects impossible inputs" `Quick
         test_plan_rejects_impossible_inputs;
+      Alcotest.test_case "create rejects impossible plan" `Quick
+        test_create_rejects_impossible_plan;
       Alcotest.test_case "warm pass meets SLO" `Slow
         test_warm_pass_meets_slo_and_recovers;
       Alcotest.test_case "migrate waves keep capacity" `Slow

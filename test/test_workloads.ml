@@ -1,45 +1,62 @@
-(* Sampler and open-loop Poisson generator. *)
+(* Gauge sampling on the simulation clock (Obs.Timeline) and the
+   open-loop Poisson generator. *)
 open Helpers
 module Engine = Simkit.Engine
-module Sampler = Simkit.Sampler
+module Timeline = Obs.Timeline
 module Poisson = Netsim.Poisson
+
+(* A timeline over the single gauge "g", sampled every simulated
+   second. *)
+let sample_gauge e ?until gauge =
+  let reg = Obs.Registry.create () in
+  Obs.Registry.gauge reg "g" gauge;
+  Timeline.attach reg e ~every_s:1.0 ?until ()
+
+let points tl =
+  List.map
+    (fun (s : Timeline.snapshot) -> (s.at, List.assoc "g" s.values))
+    (Timeline.snapshots tl)
+
+let values_between tl ~lo ~hi =
+  List.filter_map
+    (fun (t, v) -> if t >= lo && t <= hi then Some v else None)
+    (points tl)
 
 let test_sampler_records_gauge () =
   let e = Engine.create () in
   let value = ref 1.0 in
-  let s = Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> !value) () in
+  let tl = sample_gauge e (fun () -> !value) in
   ignore (Engine.schedule e ~delay:4.5 (fun () -> value := 2.0));
   Engine.run ~until:10.0 e;
-  Sampler.stop s;
-  check_false "stopped" (Sampler.is_running s);
-  let early = Sampler.samples_between s ~lo:0.0 ~hi:4.0 in
-  let late = Sampler.samples_between s ~lo:5.0 ~hi:10.0 in
+  Timeline.stop tl;
+  let early = values_between tl ~lo:0.0 ~hi:4.0 in
+  let late = values_between tl ~lo:5.0 ~hi:10.0 in
   check_true "early all 1.0" (List.for_all (fun v -> v = 1.0) early);
   check_true "late all 2.0" (List.for_all (fun v -> v = 2.0) late);
-  check_int "5 early samples" 5 (List.length early)
+  check_int "5 early samples" 5 (List.length early);
+  let taken = List.length (Timeline.snapshots tl) in
+  Engine.run ~until:20.0 e;
+  check_int "stopped" taken (List.length (Timeline.snapshots tl))
 
 let test_sampler_mean () =
   let e = Engine.create () in
-  let s =
-    Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> Engine.now e) ()
-  in
-  Engine.run ~until:4.0 e;
-  Sampler.stop s;
-  (* Samples at 0,1,2,3,4 -> mean 2. *)
-  check_float ~eps:1e-9 "mean" 2.0 (Sampler.mean_between s ~lo:0.0 ~hi:4.0);
-  check_true "empty window raises"
-    (try ignore (Sampler.mean_between s ~lo:100.0 ~hi:200.0); false
-     with Invalid_argument _ -> true)
+  let tl = sample_gauge e ~until:4.0 (fun () -> Engine.now e) in
+  (* [until] bounds the re-arming, so even an unbounded run drains. *)
+  Engine.run e;
+  let times = List.map fst (points tl) in
+  Alcotest.(check (list (float 1e-9)))
+    "samples at 0..4" [ 0.0; 1.0; 2.0; 3.0; 4.0 ] times;
+  let values = List.map snd (points tl) in
+  check_float ~eps:1e-9 "mean" 2.0
+    (List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values))
 
 let test_sampler_stop_halts () =
   let e = Engine.create () in
   let count = ref 0 in
-  let s =
-    Sampler.start e ~interval_s:1.0 ~gauge:(fun () -> incr count; 0.0) ()
-  in
-  ignore (Engine.schedule e ~delay:3.5 (fun () -> Sampler.stop s));
+  let tl = sample_gauge e (fun () -> incr count; 0.0) in
+  ignore (Engine.schedule e ~delay:3.5 (fun () -> Timeline.stop tl));
   Engine.run e;
-  (* Engine drains because the sampler stops rescheduling. *)
+  (* Engine drains because the timeline stops re-arming. *)
   check_int "four gauge reads" 4 !count
 
 let test_poisson_rate () =
