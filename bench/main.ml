@@ -23,13 +23,15 @@ let jobs = ref (Runner.Pool.default_jobs ())
 (* --- structured bench output ----------------------------------------------
 
    Each section records its headline numbers; the driver adds simulator
-   self-metrics (wall time, events, events/s) per section and writes the
-   whole batch as a roothammer-bench/1 file (default BENCH_PR10.json).
+   self-metrics (wall time, events, events/s) per section and, given
+   [-o FILE], writes the whole batch to FILE as a roothammer-bench/1
+   file. Without [-o] nothing is written, so a local run of one section
+   cannot clobber a committed bench file.
    Simulation outputs get a tolerance band and are gated by
    `benchstat --check` against the committed BENCH_BASELINE.json;
    timing self-metrics are informational (tolerance null). *)
 
-let bench_out = ref "BENCH_PR10.json"
+let bench_out = ref None
 let bench_metrics : (string * Benchstat.Check.metric) list ref = ref []
 
 let record ?(unit_ = "s")
@@ -40,13 +42,13 @@ let record ?(unit_ = "s")
 let record_info ?(unit_ = "s") name value =
   record ~unit_ ~tolerance_pct:None name value
 
-let write_bench_file () =
+let write_bench_file path =
   let json = Benchstat.Check.to_json { Benchstat.Check.metrics = !bench_metrics } in
-  let oc = open_out !bench_out in
+  let oc = open_out path in
   output_string oc json;
   output_char oc '\n';
   close_out oc;
-  pf "@.wrote %d metric(s) to %s@." (List.length !bench_metrics) !bench_out
+  pf "@.wrote %d metric(s) to %s@." (List.length !bench_metrics) path
 
 (* Run one registered experiment's shards through the sweep runner and
    return the merged result (byte-identical to the sequential path). *)
@@ -1125,7 +1127,7 @@ let () =
       jobs := max 1 (int_of_string n);
       parse acc rest
     | ("-o" | "--out") :: path :: rest ->
-      bench_out := path;
+      bench_out := Some path;
       parse acc rest
     | tag :: rest -> parse (tag :: acc) rest
   in
@@ -1143,4 +1145,4 @@ let () =
         pf "unknown section %S (available: %s)@." tag
           (String.concat ", " (List.map fst sections)))
     requested;
-  write_bench_file ()
+  Option.iter write_bench_file !bench_out

@@ -623,29 +623,30 @@ let fleet_cmd =
       exit 1
     in
     match
-      let fleet =
-        Rejuv.Fleet.create
-          {
-            Rejuv.Fleet.Config.default with
-            hosts;
-            wave_width = width;
-            slo;
-            load_rate_per_s = load;
-            blind_dispatch;
-            partitions;
-            host =
-              {
-                Rejuv.Fleet.Config.default.Rejuv.Fleet.Config.host with
-                Rejuv.Scenario.Config.memdyn = Mem.Memdyn.default memdyn;
-                traffic = traffic_cfg;
-              };
-          }
+      let cfg =
+        {
+          Rejuv.Fleet.Config.default with
+          hosts;
+          wave_width = width;
+          slo;
+          load_rate_per_s = load;
+          blind_dispatch;
+          partitions;
+          host =
+            {
+              Rejuv.Fleet.Config.default.Rejuv.Fleet.Config.host with
+              Rejuv.Scenario.Config.memdyn = Mem.Memdyn.default memdyn;
+              traffic = traffic_cfg;
+            };
+        }
       in
-      Rejuv.Fleet.start fleet;
       let strategy =
         Option.value wave_strategy
           ~default:(Rejuv.Wave.Reboot Rejuv.Strategy.Warm)
       in
+      Rejuv.Fleet.check_strategy cfg strategy;
+      let fleet = Rejuv.Fleet.create cfg in
+      Rejuv.Fleet.start fleet;
       pf "%d hosts up (%d shard(s)); rolling %s waves of <= %d under %.0f \
           req/s...@."
         hosts

@@ -31,6 +31,7 @@ type t = {
   mutable svc_list : Service.t list;
   mutable frozen_services : Service.t list;
   mutable ring_grants : Xenvmm.Grant_table.grant_ref list;
+  mutable dom_watchers : (Domain.state -> unit) list;  (* registration order *)
 }
 
 let engine t = Vmm.engine t.vmm
@@ -117,6 +118,7 @@ let create vmm dom ?(timing = default_timing) () =
       svc_list = [];
       frozen_services = [];
       ring_grants = [];
+      dom_watchers = [];
     }
   in
   install_handlers t;
@@ -125,10 +127,24 @@ let create vmm dom ?(timing = default_timing) () =
 let domain t = t.dom
 let filesystem t = t.fs
 
+(* A watcher hooked on a domain the kernel has since left stays
+   registered there (domains cannot drop observers) but falls silent. *)
+let watch_domain t dom f =
+  Domain.on_state_change dom (fun s -> if t.dom == dom then f s)
+
+let on_domain_state t f =
+  t.dom_watchers <- t.dom_watchers @ [ f ];
+  watch_domain t t.dom f
+
 let rebind t vmm dom =
   t.vmm <- vmm;
   t.dom <- dom;
-  install_handlers t
+  install_handlers t;
+  List.iter
+    (fun f ->
+      watch_domain t dom f;
+      f (Domain.state dom))
+    t.dom_watchers
 let page_cache t = t.pcache
 let timing t = t.ktiming
 

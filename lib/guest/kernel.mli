@@ -46,6 +46,13 @@ val filesystem : t -> Filesystem.t
     same backing store (live migration requires shared storage). Both
     VMMs must share one simulation engine. *)
 val rebind : t -> Xenvmm.Vmm.t -> Xenvmm.Domain.t -> unit
+
+(** [on_domain_state t f] calls [f] with every state the kernel's
+    domain enters ({!Xenvmm.Domain.on_state_change}) — whichever domain
+    that is: {!rebind} carries [f] over to the new domain and calls it
+    once with the new domain's state. *)
+val on_domain_state : t -> (Xenvmm.Domain.state -> unit) -> unit
+
 val page_cache : t -> Page_cache.t
 val timing : t -> timing
 

@@ -556,62 +556,93 @@ let observe ?(prefix = "netsim.traffic") reg t =
 
 (* --- open-loop dispatcher stream ----------------------------------------- *)
 
+(* Change-driven: the served fraction only changes when a dispatcher
+   pushes a new value, so nothing is scheduled on the engine. The epoch
+   grid survives as a virtual clock — [o_next] is the next tick time
+   T(k+1) = T(k) +. epoch, the very float [Engine.schedule ~delay] would
+   have produced — and every push (and [stop]) replays the ticks due
+   before it with the value that was in force. The replay repeats the
+   per-tick adds one by one instead of multiplying: a rounded report
+   integer can sit on an exact x.5 of the running sum, and a differently
+   rounded closed form would flip it. *)
 module Open = struct
   type t = {
     o_engine : Simkit.Engine.t;
     o_rate : float;
     o_epoch : float;
-    o_served : unit -> float;
     mutable o_running : bool;
-    mutable o_tick : Simkit.Engine.handle option;
+    mutable o_served : float;  (* clamped, in force since the last push *)
+    mutable o_next : float;  (* time of the next virtual tick *)
     mutable o_offered : float;
     mutable o_lost : float;
   }
 
-  let create engine ~rate_per_s ?(epoch_s = 0.1) ~served_fraction () =
+  let clamp x = Float.min 1.0 (Float.max 0.0 x)
+
+  let create engine ~rate_per_s ?(epoch_s = 0.1)
+      ?(served_fraction = fun () -> 1.0) () =
     if rate_per_s < 0.0 then invalid_arg "Fluid.Open.create: negative rate";
     if epoch_s <= 0.0 then invalid_arg "Fluid.Open.create: epoch_s <= 0";
     {
       o_engine = engine;
       o_rate = rate_per_s;
       o_epoch = epoch_s;
-      o_served = served_fraction;
       o_running = false;
-      o_tick = None;
+      o_served = clamp (served_fraction ());
+      o_next = infinity;
       o_offered = 0.0;
       o_lost = 0.0;
     }
 
-  let rec tick t =
-    if t.o_running then begin
-      let served = Float.min 1.0 (Float.max 0.0 (t.o_served ())) in
+  (* Count every virtual tick strictly before [bound] at the served
+     fraction in force. Local refs keep the loop's floats unboxed. *)
+  let replay t ~bound =
+    if t.o_running && t.o_next < bound then begin
       let slice = t.o_rate *. t.o_epoch in
-      t.o_offered <- t.o_offered +. slice;
-      t.o_lost <- t.o_lost +. (slice *. (1.0 -. served));
-      t.o_tick <-
-        Some
-          (Simkit.Engine.schedule t.o_engine ~delay:t.o_epoch (fun () ->
-               tick t))
+      let lost_slice = slice *. (1.0 -. t.o_served) in
+      let next = ref t.o_next
+      and offered = ref t.o_offered
+      and lost = ref t.o_lost in
+      while !next < bound do
+        offered := !offered +. slice;
+        lost := !lost +. lost_slice;
+        next := !next +. t.o_epoch
+      done;
+      t.o_next <- !next;
+      t.o_offered <- !offered;
+      t.o_lost <- !lost
     end
 
   let start t =
     if (not t.o_running) && t.o_rate > 0.0 then begin
       t.o_running <- true;
-      t.o_tick <-
-        Some
-          (Simkit.Engine.schedule t.o_engine ~delay:t.o_epoch (fun () ->
-               tick t))
+      t.o_next <- Simkit.Engine.now t.o_engine +. t.o_epoch
     end
 
-  let stop t =
+  let served t = t.o_served
+
+  let set_served t ?from x =
+    let from =
+      match from with
+      | Some time -> time
+      | None -> Float.succ (Simkit.Engine.now t.o_engine)
+    in
+    replay t ~bound:from;
+    t.o_served <- clamp x
+
+  let stop ?until t =
     if t.o_running then begin
-      t.o_running <- false;
-      (match t.o_tick with
-      | Some h -> Simkit.Engine.cancel t.o_engine h
-      | None -> ());
-      t.o_tick <- None
+      let until =
+        match until with
+        | Some time -> time
+        | None -> Simkit.Engine.now t.o_engine
+      in
+      replay t ~bound:(Float.succ until);
+      t.o_running <- false
     end
 
+  let offered_load t = t.o_offered
+  let lost_load t = t.o_lost
   let offered t = int_of_float (Float.round t.o_offered)
   let lost t = int_of_float (Float.round t.o_lost)
 

@@ -26,9 +26,9 @@
       {!Per_request} bit-for-bit (the equivalence law in
       test/test_traffic.ml).
 
-    The fluid path draws no random numbers and schedules only a fixed
-    epoch tick, so seeded runs are byte-identical across fleet
-    partition counts. *)
+    The fluid path draws no random numbers: the closed-loop model
+    schedules only a fixed epoch tick and {!Open} schedules nothing, so
+    seeded runs are byte-identical across fleet partition counts. *)
 
 type mode = Per_request | Fluid | Hybrid
 
@@ -176,11 +176,18 @@ val observe : ?prefix:string -> Obs.Registry.t -> t -> unit
     [tracer_requests]. All readers are draw-free. *)
 
 (** Open-loop fluid arrival stream for dispatchers: a constant offered
-    rate split across servers by a served-fraction closure, integrated
-    at epochs. [Rejuv.Fleet] uses this in place of
-    per-request Poisson routing when traffic mode is not
-    {!Per_request} — no RNG, so partition-invariant by
-    construction. *)
+    rate, of which a pushed {e served fraction} reaches a healthy
+    server, integrated over a grid of epochs. [Rejuv.Fleet] uses this
+    in place of per-request Poisson routing when traffic mode is not
+    {!Per_request} — no RNG, so partition-invariant by construction.
+
+    The stream is change-driven: it schedules no engine event. Its
+    epoch grid is a virtual clock started by {!start} (tick [k+1] at
+    tick [k] [+. epoch_s]), and the ticks that fell due since the last
+    change are counted, one float add per tick, when the dispatcher
+    pushes a new fraction ({!set_served}) and at {!stop}. The counts
+    equal those of an epoch tick scheduled on the engine that polls
+    the fraction, bit for bit. *)
 module Open : sig
   type t
 
@@ -188,22 +195,47 @@ module Open : sig
     Simkit.Engine.t ->
     rate_per_s:float ->
     ?epoch_s:float ->
-    served_fraction:(unit -> float) ->
+    ?served_fraction:(unit -> float) ->
     unit ->
     t
-  (** [served_fraction ()] is the instantaneous fraction of offered
-      load that reaches a healthy server, clamped to [0..1] (e.g.
-      healthy hosts / total hosts for the paper's blind balancer).
-      [epoch_s] defaults to 0.1 s. Raises [Invalid_argument] on a
-      negative rate or non-positive epoch. *)
+  (** [served_fraction ()] is read once, here: the fraction of offered
+      load that reaches a healthy server until the first {!set_served}
+      (default 1), clamped to [0..1]. [epoch_s] defaults to 0.1 s.
+      Raises [Invalid_argument] on a negative rate or non-positive
+      epoch. *)
 
   val start : t -> unit
-  val stop : t -> unit
+  (** Start the virtual clock at the engine's current time; the first
+      tick falls one epoch later. A zero rate never starts. *)
+
+  val set_served : t -> ?from:float -> float -> unit
+  (** Push a new served fraction (clamped to [0..1]). Ticks before
+      [from] count at the previous fraction, ticks at or after [from] at
+      the new one. [from] defaults to just after the engine's current
+      time: a push made by an event at [t] leaves a tick due at [t] to
+      the old value, as a tick event queued before that event would
+      have seen it. A coordinator pushing at a barrier [q], with the
+      engine's clock still at its last event below [q], passes
+      [~from:q]. *)
+
+  val served : t -> float
+  (** The served fraction in force (the last one pushed). *)
+
+  val stop : ?until:float -> t -> unit
+  (** Count the ticks at or before [until] (default: the engine's
+      current time) and stop. Pass [until] when the engine ran to a
+      horizon without executing an event there — [Engine.run_before]
+      and [Par_engine.run ~until] leave the clock at the last event. *)
 
   val offered : t -> int
-  (** Requests offered so far (rounded fluid integral). *)
+  (** Requests offered so far, counted to the last push or {!stop}
+      (rounded fluid integral). *)
 
   val lost : t -> int
   val loss_ratio : t -> float
   (** [lost / offered]; 0 before anything was offered. *)
+
+  val offered_load : t -> float
+  val lost_load : t -> float
+  (** The unrounded integrals behind {!offered} and {!lost}. *)
 end

@@ -579,18 +579,19 @@ let fleet_cell ?(partitions = 1) ?(load_rate_per_s = 50.0)
     | Wave.Migrate -> 1
     | Wave.Reboot _ -> partitions
   in
-  let fleet =
-    Fleet.create
-      {
-        Fleet.Config.default with
-        hosts;
-        wave_width = width;
-        slo;
-        host = { Scenario.Config.default with seed; memdyn; traffic };
-        load_rate_per_s;
-        partitions;
-      }
+  let cfg =
+    {
+      Fleet.Config.default with
+      hosts;
+      wave_width = width;
+      slo;
+      host = { Scenario.Config.default with seed; memdyn; traffic };
+      load_rate_per_s;
+      partitions;
+    }
   in
+  Fleet.check_strategy cfg strategy;
+  let fleet = Fleet.create cfg in
   Fleet.start fleet;
   Fleet.run fleet ~strategy
 

@@ -34,9 +34,11 @@ end
    and [done_at] are written by the owning shard's events during a
    round and read by the coordinator only at quantum barriers (workers
    parked); [redirect_ok] flows the other way — written at barriers,
-   read by the shard's load events during rounds. [counted] is
-   coordinator-only. The round barrier provides the happens-before
-   edges. *)
+   read by the shard's load events during rounds. [flow] is set by the
+   coordinator between runs; its stream is pushed to by the shard's
+   health watcher during rounds and by the coordinator at barriers.
+   [counted] is coordinator-only. The round barrier provides the
+   happens-before edges. *)
 type cell = {
   idx : int;
   shard : int;
@@ -47,6 +49,7 @@ type cell = {
   mutable counted : bool;  (* completion folded into the obs counter *)
   mutable redirect_ok : bool;  (* some *other* host was healthy at the
                                   last barrier *)
+  mutable flow : Netsim.Fluid.Open.t option;  (* this run's bulk stream *)
 }
 
 type t = {
@@ -62,12 +65,65 @@ let config t = t.cfg
 let par t = t.par
 let spare t = t.fleet_spare
 
-let host_healthy c =
-  Scenario.vms c.node <> []
-  && List.for_all Scenario.vm_is_up (Scenario.vms c.node)
+let host_healthy c = Scenario.healthy c.node
 
 let healthy_hosts t =
   Array.fold_left (fun n c -> if host_healthy c then n + 1 else n) 0 t.members
+
+(* Per-host offered rates of the (Poisson tracer, fluid bulk) streams.
+   [Per_request] keeps the historical Poisson split ([rate *. 1.0] is
+   exact). [Fluid]/[Hybrid] carry the bulk as one epoch-integrated flow
+   stream per host — no RNG and no events however many clients are
+   modeled, which is what lets a host carry 1M+ flows. When the
+   template models an explicit client population with a positive think
+   time, each of the [clients] closed-loop flows offers ~1/think
+   requests/s; otherwise the fleet's [load_rate_per_s] knob is split
+   as before. *)
+let host_rates (cfg : Config.t) =
+  let rate = cfg.Config.load_rate_per_s /. float_of_int cfg.Config.hosts in
+  let traffic = cfg.Config.host.Scenario.Config.traffic in
+  let tracer_fraction =
+    match traffic.Netsim.Fluid.mode with
+    | Netsim.Fluid.Per_request -> 1.0
+    | Netsim.Fluid.Fluid -> 0.0
+    | Netsim.Fluid.Hybrid ->
+      float_of_int traffic.Netsim.Fluid.tracers
+      /. float_of_int traffic.Netsim.Fluid.clients
+  in
+  let host_rate =
+    if traffic.Netsim.Fluid.mode = Netsim.Fluid.Per_request then rate
+    else if traffic.Netsim.Fluid.think_time_s > 0.0 then
+      float_of_int traffic.Netsim.Fluid.clients
+      /. traffic.Netsim.Fluid.think_time_s
+    else rate
+  in
+  (host_rate *. tracer_fraction, host_rate *. (1.0 -. tracer_fraction))
+
+(* The fraction of a host's load that is served: all of it on a healthy
+   host, or — unless dispatch is blind — when the balancer could send
+   it to some other host that was healthy as of the last barrier. *)
+let served_fraction (cfg : Config.t) c ~healthy =
+  if healthy || ((not cfg.Config.blind_dispatch) && c.redirect_ok) then 1.0
+  else 0.0
+
+(* Bring a host's bulk stream up to its served fraction: from inside the
+   event that flipped the host's health, or [~from:q] at the barrier
+   that flipped its redirect eligibility. *)
+let push_served cfg c ?from healthy =
+  match c.flow with
+  | None -> ()
+  | Some g ->
+    let x = served_fraction cfg c ~healthy in
+    if x <> Netsim.Fluid.Open.served g then
+      Netsim.Fluid.Open.set_served g ?from x
+
+let check_strategy (cfg : Config.t) (strategy : Wave.strategy) =
+  match strategy with
+  | Wave.Migrate when min cfg.Config.partitions cfg.Config.hosts > 1 ->
+    invalid_arg
+      "Fleet: migrate waves share the spare host and its migration link; \
+       partitions must be 1"
+  | Wave.Migrate | Wave.Reboot _ -> ()
 
 let create (cfg : Config.t) =
   if cfg.Config.hosts <= 0 then invalid_arg "Fleet.create: hosts <= 0";
@@ -75,6 +131,10 @@ let create (cfg : Config.t) =
     invalid_arg "Fleet.create: partitions <= 0";
   if cfg.Config.sync_quantum_s <= 0.0 then
     invalid_arg "Fleet.create: sync_quantum_s <= 0";
+  if
+    (not (Float.is_finite cfg.Config.load_rate_per_s))
+    || cfg.Config.load_rate_per_s < 0.0
+  then invalid_arg "Fleet.create: load_rate_per_s must be finite and >= 0";
   (* Plan before building anything: an impossible plan must not cost a
      fleet boot before it is reported. *)
   let plan =
@@ -83,7 +143,7 @@ let create (cfg : Config.t) =
         ~slo:cfg.Config.slo
     with
     | Ok p -> p
-    | Error (`Msg m) -> Simkit.Fault.fail (Simkit.Fault.Invariant m)
+    | Error (`Msg m) -> invalid_arg ("Fleet.create: " ^ m)
   in
   let shards = min cfg.Config.partitions cfg.Config.hosts in
   (* Hosts share no mutable simulation state, so any cross-host event
@@ -117,8 +177,15 @@ let create (cfg : Config.t) =
           done_at = 0.0;
           counted = true;
           redirect_ok = false;
+          flow = None;
         })
   in
+  (* A bulk stream learns of health flips as they happen: one watcher
+     per host for the fleet's life, idle while no run holds a stream. *)
+  if snd (host_rates cfg) > 0.0 then
+    Array.iter
+      (fun c -> Scenario.on_health_change c.node (push_served cfg c))
+      members;
   (* The spare host: powered VMM, no guests — a migration target only.
      It is pinned to shard 0, where migration traffic stays local. *)
   let fleet_spare =
@@ -271,86 +338,49 @@ type wave_state = {
 
 let run t ~strategy =
   let cfg = t.cfg in
-  if
-    (match (strategy : Wave.strategy) with
-    | Wave.Migrate -> true
-    | Wave.Reboot _ -> false)
-    && Simkit.Par_engine.shards t.par > 1
-  then
-    Simkit.Fault.fail
-      (Simkit.Fault.Invariant
-         "Fleet.run: migrate waves share the spare host and its \
-          migration link; partitions must be 1");
+  check_strategy cfg strategy;
   let plan = t.plan in
-  (* Open-loop load, one generator per host so every arrival is shard-
-     local. Streams are seeded from (fleet seed, host index): stable
-     across partition counts, unlike anything split from a shard
-     engine's root stream. A request succeeds on a healthy host, or —
-     unless dispatch is blind — when the balancer could have sent it to
-     some other host that was healthy as of the last barrier. *)
-  let rate = cfg.Config.load_rate_per_s /. float_of_int cfg.Config.hosts in
-  (* Traffic-mode split. [Per_request] keeps the historical Poisson
-     streams event-for-event ([rate *. 1.0] is exact). [Fluid]/[Hybrid]
-     carry the bulk as one epoch-integrated flow stream per host — no
-     RNG and O(epochs) events however many clients are modeled, which
-     is what lets a host carry 1M+ flows. When the template models an
-     explicit client population with a positive think time, each of
-     the [clients] closed-loop flows offers ~1/think requests/s;
-     otherwise the fleet's [load_rate_per_s] knob is split as before. *)
+  (* Open-loop load, one stream per host so every arrival is shard-
+     local. Poisson streams are seeded from (fleet seed, host index):
+     stable across partition counts, unlike anything split from a shard
+     engine's root stream. A zero rate builds no stream. *)
+  let tracer_rate, bulk_rate = host_rates cfg in
   let traffic = cfg.Config.host.Scenario.Config.traffic in
-  let tracer_fraction =
-    match traffic.Netsim.Fluid.mode with
-    | Netsim.Fluid.Per_request -> 1.0
-    | Netsim.Fluid.Fluid -> 0.0
-    | Netsim.Fluid.Hybrid ->
-      float_of_int traffic.Netsim.Fluid.tracers
-      /. float_of_int traffic.Netsim.Fluid.clients
-  in
-  let host_rate =
-    if traffic.Netsim.Fluid.mode = Netsim.Fluid.Per_request then rate
-    else if traffic.Netsim.Fluid.think_time_s > 0.0 then
-      float_of_int traffic.Netsim.Fluid.clients
-      /. traffic.Netsim.Fluid.think_time_s
-    else rate
-  in
-  let host_served c () =
-    if host_healthy c || ((not cfg.Config.blind_dispatch) && c.redirect_ok)
-    then 1.0
-    else 0.0
-  in
   let gens =
     Array.map
       (fun c ->
-        if tracer_fraction <= 0.0 then None
+        if tracer_rate <= 0.0 then None
         else
           Some
             (Netsim.Poisson.create
                (Scenario.engine c.node)
                ~name:(Printf.sprintf "fleet-load-%d" (c.idx + 1))
-               ~rate_per_s:(host_rate *. tracer_fraction)
+               ~rate_per_s:tracer_rate
                ~rng:
                  (Simkit.Rng.create
                     ((cfg.Config.host.Scenario.Config.seed * 1_000_003)
                     + c.idx + 1))
                ~request:(fun k ->
-                 k
-                   (host_healthy c
-                   || ((not cfg.Config.blind_dispatch) && c.redirect_ok)))
+                 k (served_fraction cfg c ~healthy:(host_healthy c) > 0.0))
                ()))
       t.members
   in
   let flow_gens =
     Array.map
       (fun c ->
-        if tracer_fraction >= 1.0 then None
-        else
-          Some
-            (Netsim.Fluid.Open.create
-               (Scenario.engine c.node)
-               ~rate_per_s:(host_rate *. (1.0 -. tracer_fraction))
-               ~epoch_s:traffic.Netsim.Fluid.epoch_s
-               ~served_fraction:(host_served c)
-               ()))
+        if bulk_rate <= 0.0 then None
+        else begin
+          let g =
+            Netsim.Fluid.Open.create
+              (Scenario.engine c.node)
+              ~rate_per_s:bulk_rate ~epoch_s:traffic.Netsim.Fluid.epoch_s
+              ~served_fraction:(fun () ->
+                served_fraction cfg c ~healthy:(host_healthy c))
+              ()
+          in
+          c.flow <- Some g;
+          Some g
+        end)
       t.members
   in
   Array.iter (Option.iter Netsim.Poisson.start) gens;
@@ -380,11 +410,34 @@ let run t ~strategy =
       next_sample := !next_sample +. cfg.Config.sample_interval_s
     end
   in
-  let refresh_redirects () =
+  (* Bulk streams hear of health flips from their host's watcher;
+     redirect flips happen here and are pushed from [q] on. The same
+     pass audits each stream's served fraction against the host's
+     recomputed health, so a missed notification fails the run rather
+     than drifting the loss count. *)
+  let refresh_redirects q =
     let healthy = healthy_hosts t in
     Array.iter
       (fun c ->
-        c.redirect_ok <- healthy - (if host_healthy c then 1 else 0) > 0)
+        let h = host_healthy c in
+        (match c.flow with
+        | Some g
+          when Netsim.Fluid.Open.served g <> served_fraction cfg c ~healthy:h
+          ->
+          Simkit.Fault.fail
+            (Simkit.Fault.Invariant
+               (Printf.sprintf
+                  "Fleet.run: host %d's load stream serves %g at t=%g, its \
+                   health says otherwise"
+                  (c.idx + 1)
+                  (Netsim.Fluid.Open.served g)
+                  q))
+        | Some _ | None -> ());
+        let ok = healthy - (if h then 1 else 0) > 0 in
+        if ok <> c.redirect_ok then begin
+          c.redirect_ok <- ok;
+          push_served cfg c ~from:q h
+        end)
       t.members
   in
   let count_completions q =
@@ -505,18 +558,24 @@ let run t ~strategy =
   in
   Simkit.Par_engine.run t.par ~on_quantum:(fun q ->
       sample q;
-      refresh_redirects ();
+      refresh_redirects q;
       count_completions q;
       tick_waves q;
+      (* An idle engine is a stall only while a host task is in flight:
+         gaps and admission retries advance on barriers alone. *)
       if !finished then `Stop
-      else if Simkit.Par_engine.idle t.par then `Stop
+      else if
+        Simkit.Par_engine.idle t.par
+        && Array.exists (fun c -> c.busy) t.members
+      then `Stop
       else `Continue);
   if not !finished then Simkit.Fault.fail (Simkit.Fault.Stalled "Fleet.run");
   (* Let probes and in-flight requests settle, then stop the plumbing. *)
   let settled = !end_q +. 5.0 in
   Simkit.Par_engine.run t.par ~until:settled;
   Array.iter (Option.iter Netsim.Poisson.stop) gens;
-  Array.iter (Option.iter Netsim.Fluid.Open.stop) flow_gens;
+  Array.iter (Option.iter (Netsim.Fluid.Open.stop ~until:settled)) flow_gens;
+  Array.iter (fun c -> c.flow <- None) t.members;
   let mean_healthy =
     if !healthy_n = 0 then float_of_int (healthy_hosts t)
     else !healthy_sum /. float_of_int !healthy_n

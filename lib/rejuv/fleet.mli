@@ -52,14 +52,16 @@ module Config : sig
             With [host.traffic] mode [Per_request] this is the
             historical per-host Poisson split. [Fluid]/[Hybrid] carry
             the bulk as one epoch-integrated flow stream per host
-            ({!Netsim.Fluid.Open}) — O(epochs) events and no RNG, so a
-            host can model 1M+ flows; when [host.traffic] has a
+            ({!Netsim.Fluid.Open}), pushed a new served fraction when
+            the host's health or redirect eligibility flips — no
+            events and no RNG, so a host can model 1M+ flows; when [host.traffic] has a
             positive think time the per-host rate becomes
             [clients / think_time_s] (each closed-loop flow offers
             ~1/think req/s), otherwise this knob split as before.
             [Hybrid] additionally keeps a tracer-sized Poisson cohort
             per-request, seeded exactly like the per-request
-            streams. *)
+            streams. A zero rate builds no stream; must be finite and
+            non-negative. *)
     blind_dispatch : bool;
         (** round-robin requests onto a host whatever its health —
             the paper's lost-request model (Figure 9). By default a
@@ -85,8 +87,16 @@ val create : Config.t -> t
     partitioned engine seeded from [host.seed], and register the fleet
     and [par.*] shard gauges into the ambient [Obs] registry. Raises
     [Invalid_argument] on a non-positive fleet size, partition count or
-    quantum, and [Fault.Error (Invariant _)] when {!Wave.plan} rejects
-    the (hosts, width, slo) cell — both before any host is built. *)
+    quantum, a negative or non-finite load, and when {!Wave.plan}
+    rejects the (hosts, width, slo) cell — all before any host is
+    built. *)
+
+val check_strategy : Config.t -> Wave.strategy -> unit
+(** Raises [Invalid_argument] when a fleet of this config cannot roll
+    [strategy]: [Migrate] waves funnel through the one spare host and
+    its migration link, so they need a single shard ([partitions],
+    clamped to the fleet size, must be 1). {!run} checks it; call it
+    before {!create} to refuse the plan without booting a fleet. *)
 
 val config : t -> Config.t
 
@@ -135,7 +145,10 @@ val run : t -> strategy:Wave.strategy -> report
     load, and report. [Reboot] waves rejuvenate their hosts
     concurrently — across domains when partitioned; [Migrate] waves go
     host by host, because the spare's memory and the migration link are
-    shared (and therefore fail with [Fault.Invariant] when
-    [partitions > 1]). Per-host faults are traced and do not wedge the
-    pass — an unrecovered host simply stays unhealthy (and counts
-    against [min_healthy]). *)
+    shared (see {!check_strategy}, which [run] applies first).
+    Per-host faults are traced and do not wedge the pass — an
+    unrecovered host simply stays unhealthy (and counts against
+    [min_healthy]). Fails with [Fault.Stalled] when the engine runs dry
+    while a host task is in flight, and with [Fault.Invariant] when a
+    bulk stream's served fraction disagrees with its host's health at a
+    barrier (a health change that reached no watcher). *)

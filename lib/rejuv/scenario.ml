@@ -56,6 +56,8 @@ type t = {
   scenario_rng : Simkit.Rng.t;
   plan : Simkit.Fault.Plan.t;
   mutable artifact : (Hw.Nic.t * Simkit.Engine.handle) option;
+  mutable health_watchers : (bool -> unit) list;  (* registration order *)
+  mutable was_healthy : bool;  (* last [healthy] the watchers saw *)
 }
 
 let engine t = t.eng
@@ -66,6 +68,38 @@ let vms t = t.vm_list
 let rng t = t.scenario_rng
 let trace t = t.hw_host.Hw.Host.trace
 let fault_plan t = t.plan
+
+(* --- host health ----------------------------------------------------------
+
+   [healthy] reads through the VMs' current kernels, their domains and
+   services. Every input can change only by a domain state change
+   (followed across rebinds by the kernel), a service transition, or
+   [outfit_vm] swapping the kernel. Once a watcher is registered, each
+   of those calls [health_changed]: the first registration hooks the
+   current kernels, and [outfit_vm] hooks each new one. *)
+
+let healthy t = t.vm_list <> [] && List.for_all vm_is_up t.vm_list
+
+let health_changed t =
+  let h = healthy t in
+  if h <> t.was_healthy then begin
+    t.was_healthy <- h;
+    List.iter (fun f -> f h) t.health_watchers
+  end
+
+let hook_kernel t kernel =
+  let changed _ = health_changed t in
+  Guest.Kernel.on_domain_state kernel changed;
+  List.iter
+    (fun s -> Guest.Service.on_transition s changed)
+    (Guest.Kernel.services kernel)
+
+let on_health_change t f =
+  if t.health_watchers = [] then begin
+    List.iter (fun v -> hook_kernel t v.vkernel) t.vm_list;
+    t.was_healthy <- healthy t
+  end;
+  t.health_watchers <- t.health_watchers @ [ f ]
 
 (* --- transient network-degradation artifact ----------------------------- *)
 
@@ -96,7 +130,7 @@ let outfit_vm t v =
   in
   v.vkernel <- kernel;
   v.vhttpd <- None;
-  match v.vworkload with
+  (match v.vworkload with
   | Ssh -> ignore (Guest.Sshd.install kernel)
   | Jboss -> ignore (Guest.Jboss.install kernel)
   | Web { file_count; file_bytes; warm_cache = _ } ->
@@ -104,7 +138,11 @@ let outfit_vm t v =
        after the OS has booted (boot clears the cache). *)
     let httpd = Guest.Httpd.install kernel ~nic:t.hw_host.Hw.Host.nic () in
     ignore (Guest.Httpd.populate httpd ~file_count ~file_bytes);
-    v.vhttpd <- Some httpd
+    v.vhttpd <- Some httpd);
+  if t.health_watchers <> [] then begin
+    hook_kernel t kernel;
+    health_changed t
+  end
 
 let warm_web_caches t =
   List.iter
@@ -286,6 +324,8 @@ let create (cfg : Config.t) =
       scenario_rng = Simkit.Rng.split (Simkit.Engine.rng eng);
       plan;
       artifact = None;
+      health_watchers = [];
+      was_healthy = false;
     }
   in
   let make_vm ~vname ~vdriver i =

@@ -144,6 +144,16 @@ val cancel_network_artifact : t -> unit
 (** Cancel a pending artifact window and restore the NIC now — called
     on early teardown so a short run cannot leak a degraded NIC. *)
 
+val healthy : t -> bool
+(** At least one VM, and every VM up ({!vm_is_up}). O(VMs x services). *)
+
+val on_health_change : t -> (bool -> unit) -> unit
+(** [on_health_change t f] calls [f h] whenever {!healthy} flips to
+    [h], synchronously inside the event that flipped it (a domain state
+    change, a service transition, or {!provision_vm} replacing a VM's
+    domain and kernel). Watchers run in registration order.
+    A scenario without watchers pays nothing. *)
+
 val attach_probers : t -> ?interval_s:float -> unit -> Netsim.Prober.t list
 (** One started prober per VM, probing {!vm_is_up}. *)
 

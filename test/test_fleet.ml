@@ -43,12 +43,36 @@ let test_plan_rejects_impossible_inputs () =
 
 let test_create_rejects_impossible_plan () =
   (* 0.7 of 3 hosts needs all 3 healthy: no slack for any wave. The
-     plan is checked before a single host is built or booted. *)
+     plan is the user's input, checked before a single host is built or
+     booted. *)
   let before = Simkit.Engine.domain_events_processed () in
   (match Fleet.create { Fleet.Config.default with hosts = 3; slo = 0.7 } with
   | _ -> Alcotest.fail "created a fleet with no SLO slack"
-  | exception Simkit.Fault.Error (Simkit.Fault.Invariant _) -> ());
+  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun load_rate_per_s ->
+      match Fleet.create { Fleet.Config.default with load_rate_per_s } with
+      | _ -> Alcotest.failf "created a fleet under load %g" load_rate_per_s
+      | exception Invalid_argument _ -> ())
+    [ -1.0; Float.nan; Float.infinity ];
   check_int "no event ran" before (Simkit.Engine.domain_events_processed ())
+
+let test_check_strategy_before_boot () =
+  (* Migrate waves funnel through the one spare: a partitioned migrate
+     plan is refused before a fleet is built, and again by [run]. *)
+  let cfg = { Fleet.Config.default with hosts = 8; partitions = 2 } in
+  let before = Simkit.Engine.domain_events_processed () in
+  (match Fleet.check_strategy cfg Wave.Migrate with
+  | () -> Alcotest.fail "accepted a partitioned migrate plan"
+  | exception Invalid_argument _ -> ());
+  Fleet.check_strategy cfg (Wave.Reboot Strategy.Warm);
+  Fleet.check_strategy { cfg with partitions = 1 } Wave.Migrate;
+  Fleet.check_strategy { cfg with hosts = 1 } Wave.Migrate;
+  check_int "no event ran" before (Simkit.Engine.domain_events_processed ());
+  let f = Fleet.create { cfg with hosts = 4; slo = 0.5 } in
+  match Fleet.run f ~strategy:Wave.Migrate with
+  | _ -> Alcotest.fail "ran a partitioned migrate plan"
+  | exception Invalid_argument _ -> ()
 
 let small_fleet ?(hosts = 6) ?(wave_width = 2) ?(slo = 0.5) ?(seed = 42) () =
   let f =
@@ -100,6 +124,91 @@ let qcheck_slo_guard =
         let f = small_fleet ~hosts ~wave_width:width ~slo () in
         let r = Fleet.run f ~strategy:(Wave.Reboot Strategy.Warm) in
         r.Fleet.min_healthy >= r.Fleet.slo_floor)
+
+(* [Experiment.fleet_cell]'s fleet, optionally with blind dispatch
+   (which the registered cell does not expose). *)
+let cell_report ?(blind = false) ?(load_rate_per_s = 50.0) ~mode ~seed
+    ~strategy ~partitions () =
+  let traffic = { Netsim.Fluid.default_config with Netsim.Fluid.mode } in
+  if not blind then
+    Rejuv.Experiment.fleet_cell ~traffic ~partitions ~load_rate_per_s ~seed
+      ~hosts:10 ~width:3 ~slo:0.7 ~strategy ()
+  else begin
+    let f =
+      Fleet.create
+        {
+          Fleet.Config.default with
+          hosts = 10;
+          wave_width = 3;
+          slo = 0.7;
+          host = { Rejuv.Scenario.Config.default with seed; traffic };
+          load_rate_per_s;
+          partitions;
+          blind_dispatch = true;
+        }
+    in
+    Fleet.start f;
+    Fleet.run f ~strategy
+  end
+
+let test_zero_load_completes () =
+  (* With nothing offered the engine idles through every inter-wave
+     gap; that is waiting, not a stall. Per-request builds no Poisson
+     stream at rate 0. *)
+  List.iter
+    (fun (mode, blind, partitions) ->
+      let r =
+        cell_report ~blind ~load_rate_per_s:0.0 ~mode ~seed:42
+          ~strategy:(Wave.Reboot Strategy.Warm) ~partitions ()
+      in
+      let tag =
+        Printf.sprintf "%s blind=%b p=%d" (Netsim.Fluid.mode_name mode) blind
+          partitions
+      in
+      check_int (tag ^ ": offered") 0 r.Fleet.offered;
+      check_int (tag ^ ": lost") 0 r.Fleet.lost;
+      check_true (tag ^ ": SLO met") r.Fleet.slo_met;
+      check_true (tag ^ ": nothing skipped") (r.Fleet.skipped = []))
+    (List.concat_map
+       (fun mode ->
+         List.concat_map
+           (fun blind -> [ (mode, blind, 1); (mode, blind, 2) ])
+           [ false; true ])
+       Netsim.Fluid.[ Per_request; Fluid; Hybrid ])
+
+(* Report JSON of fleet cells carrying bulk fluid streams, recorded
+   with the engine-ticked Fluid.Open (one event per host per 0.1 s
+   epoch, polling host health) before the change-driven stream
+   replaced it. One line per cell:
+   "<mode> seed=<s> blind=<b> <strategy> p=<partitions> <json>". *)
+let test_fleet_open_goldens () =
+  let lines =
+    In_channel.with_open_text "golden/fleet_open.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  check_int "golden cells" 40 (List.length lines);
+  List.iter
+    (fun line ->
+      Scanf.sscanf line "%s seed=%d blind=%B %s p=%d %s"
+        (fun mode seed blind strategy partitions golden ->
+          let mode =
+            match Simkit.Enum.of_string Netsim.Fluid.mode_enum mode with
+            | Ok m -> m
+            | Error (`Msg m) -> Alcotest.fail m
+          in
+          let strategy =
+            match Simkit.Enum.of_string Wave.strategy_enum strategy with
+            | Ok s -> s
+            | Error (`Msg m) -> Alcotest.fail m
+          in
+          Alcotest.(check string)
+            (String.sub line 0 (String.index line '{'))
+            golden
+            (Rejuv.Experiment.Result.to_json
+               (Rejuv.Experiment.Result.Fleet
+                  [ cell_report ~blind ~mode ~seed ~strategy ~partitions () ]))))
+    lines
 
 (* --- determinism --------------------------------------------------------- *)
 
@@ -225,6 +334,11 @@ let suite =
         test_plan_rejects_impossible_inputs;
       Alcotest.test_case "create rejects impossible plan" `Quick
         test_create_rejects_impossible_plan;
+      Alcotest.test_case "strategy checked before boot" `Quick
+        test_check_strategy_before_boot;
+      Alcotest.test_case "zero load completes" `Slow test_zero_load_completes;
+      Alcotest.test_case "fluid and hybrid reports pinned" `Slow
+        test_fleet_open_goldens;
       Alcotest.test_case "warm pass meets SLO" `Slow
         test_warm_pass_meets_slo_and_recovers;
       Alcotest.test_case "migrate waves keep capacity" `Slow

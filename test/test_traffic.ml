@@ -273,21 +273,138 @@ let test_modes_agree_small_n () =
 
 let test_open_stream_loss_accounting () =
   let e = Engine.create () in
-  let served = ref 1.0 in
-  let s =
-    Fluid.Open.create e ~rate_per_s:100.0 ~served_fraction:(fun () -> !served)
-      ()
-  in
+  let s = Fluid.Open.create e ~rate_per_s:100.0 () in
   Fluid.Open.start s;
-  ignore (Engine.schedule e ~delay:10.0 (fun () -> served := 0.0));
+  ignore (Engine.schedule e ~delay:10.0 (fun () -> Fluid.Open.set_served s 0.0));
   ignore (Engine.schedule e ~delay:20.05 (fun () -> Fluid.Open.stop s));
   Engine.run e;
   check_int "offered = rate x horizon" 2000 (Fluid.Open.offered s);
   check_int "lost only while unserved" 1000 (Fluid.Open.lost s);
   check_float ~eps:1e-9 "loss ratio" 0.5 (Fluid.Open.loss_ratio s);
-  match Fluid.Open.create e ~rate_per_s:(-1.0) ~served_fraction:(fun () -> 1.0) () with
+  check_int "no engine event of its own" 2 (Engine.events_processed e);
+  match Fluid.Open.create e ~rate_per_s:(-1.0) () with
   | _ -> Alcotest.fail "negative rate accepted"
   | exception Invalid_argument _ -> ()
+
+(* The change-driven stream against the engine-ticked oracle it
+   replaced, under random push schedules: pushes come either from the
+   coordinator at a barrier (the engine has run every event strictly
+   before it, as Par_engine does before [on_quantum]) or from an event
+   queued at that barrier — so a tick due at the same instant was
+   queued first and fires first, as in a fleet. Push and stop times are
+   random or exactly on a virtual tick; served fractions are 0, 1,
+   fractional or out of range. Both integrals must agree to the bit. *)
+module Oracle = Fluid_open_oracle
+
+type push_from = Barrier | Event
+
+type open_schedule = {
+  rate : float;
+  epoch : float;
+  start_at : float;
+  initial : float;
+  pushes : (float * push_from * float) list;  (* time order *)
+  stop_at : float * push_from;
+}
+
+let gen_open_schedule =
+  let open QCheck.Gen in
+  let* rate =
+    oneof
+      [ oneofl [ 0.0; 5.0; 50.0; 100.0; 12.5; 1.0 /. 3.0 ]; float_range 0.01 500.0 ]
+  in
+  let* epoch =
+    oneof [ oneofl [ 0.1; 0.05; 0.25; 0.3; 1.0 ]; float_range 0.01 2.0 ]
+  in
+  let* start_at = oneof [ return 0.0; float_range 0.0 5.0 ] in
+  let* span = int_range 0 400 in
+  (* The oracle's tick times: start + epoch, then + epoch each. *)
+  let ticks = Array.make (span + 2) 0.0 in
+  let t = ref start_at in
+  for i = 0 to span + 1 do
+    t := !t +. epoch;
+    ticks.(i) <- !t
+  done;
+  let time =
+    oneof
+      [
+        map (fun i -> ticks.(i)) (int_range 0 (span + 1));
+        float_range start_at ticks.(span + 1);
+      ]
+  in
+  let value = oneof [ oneofl [ 0.0; 1.0; 0.5; 1.5; -0.25 ]; float_range 0.0 1.0 ] in
+  let from = oneofl [ Barrier; Event ] in
+  let* initial = value in
+  let* pushes = list_size (int_range 0 12) (triple time from value) in
+  let pushes = List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b) pushes in
+  let* stop_time, stop_from = pair time from in
+  let last = List.fold_left (fun acc (t, _, _) -> Float.max acc t) start_at pushes in
+  return
+    {
+      rate;
+      epoch;
+      start_at;
+      initial;
+      pushes;
+      stop_at = (Float.max stop_time last, stop_from);
+    }
+
+let print_open_schedule s =
+  let from = function Barrier -> "barrier" | Event -> "event" in
+  Printf.sprintf "rate %h epoch %h start %h initial %h pushes [%s] stop %h (%s)"
+    s.rate s.epoch s.start_at s.initial
+    (String.concat "; "
+       (List.map (fun (t, f, v) -> Printf.sprintf "%h %s %h" t (from f) v) s.pushes))
+    (fst s.stop_at) (from (snd s.stop_at))
+
+let run_open_schedule s =
+  let e = Engine.create () in
+  Engine.run ~until:s.start_at e;
+  let served = ref s.initial in
+  let oracle =
+    Oracle.create e ~rate_per_s:s.rate ~epoch_s:s.epoch ~served_fraction:(fun () ->
+        !served)
+  in
+  let stream =
+    Fluid.Open.create e ~rate_per_s:s.rate ~epoch_s:s.epoch
+      ~served_fraction:(fun () -> s.initial)
+      ()
+  in
+  Oracle.start oracle;
+  Fluid.Open.start stream;
+  List.iter
+    (fun (at, from, x) ->
+      Engine.run_before e ~bound:at;
+      match from with
+      | Barrier ->
+        served := x;
+        Fluid.Open.set_served stream ~from:at x
+      | Event ->
+        ignore
+          (Engine.schedule_at e ~time:at (fun () ->
+               served := x;
+               Fluid.Open.set_served stream x)))
+    s.pushes;
+  (match s.stop_at with
+  | at, Barrier ->
+    Engine.run_before e ~bound:(Float.succ at);
+    Oracle.stop oracle;
+    Fluid.Open.stop ~until:at stream
+  | at, Event ->
+    Engine.run_before e ~bound:at;
+    ignore
+      (Engine.schedule_at e ~time:at (fun () ->
+           Oracle.stop oracle;
+           Fluid.Open.stop stream)));
+  Engine.run e;
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  same (Oracle.offered_load oracle) (Fluid.Open.offered_load stream)
+  && same (Oracle.lost_load oracle) (Fluid.Open.lost_load stream)
+
+let qcheck_open_matches_oracle =
+  qtest ~count:500 "change-driven open stream = ticking oracle, bit for bit"
+    (QCheck.make ~print:print_open_schedule gen_open_schedule)
+    run_open_schedule
 
 (* --- validation ----------------------------------------------------------- *)
 
@@ -417,6 +534,7 @@ let suite =
         test_modes_agree_small_n;
       Alcotest.test_case "open stream loss accounting" `Quick
         test_open_stream_loss_accounting;
+      qcheck_open_matches_oracle;
       Alcotest.test_case "create validation" `Quick test_create_validation;
       Alcotest.test_case "traffic gauges registered" `Quick
         test_traffic_gauges;
